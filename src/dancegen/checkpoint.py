@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from .errors import DependencyError, FormatError
+from .textfile import read_json_object
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -48,11 +49,7 @@ def load_checkpoint(path, expected_stage: str | None = None):
     """Returns (stage, config, params: dict name -> ndarray, config_hash)."""
     if not os.path.exists(path):
         raise DependencyError(f"checkpoint not found: {path}")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid checkpoint JSON: {e}") from None
+    doc = read_json_object(path, "checkpoint")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import motion as MO
+from . import textfile as TF
 from .checkpoint import config_hash
 from .codec import (
     load_codec,
@@ -29,6 +30,7 @@ from .errors import (
     ConfigError,
     DancegenError,
     DependencyError,
+    FormatError,
     InputError,
     RoutingError,
 )
@@ -58,39 +60,25 @@ LOSSES_VERSION = 1
 
 
 def write_loss_log(path, losses) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"#format {LOSSES_FORMAT} v{LOSSES_VERSION}\n")
-        for step, value in enumerate(losses):
-            fh.write(f"{step} {repr(float(value))}\n")
+    rows = (f"{step} {repr(float(value))}" for step, value in enumerate(losses))
+    TF.write_text_file(path, LOSSES_FORMAT, LOSSES_VERSION, {}, rows)
 
 
 def read_loss_log(path):
-    from .errors import FormatError
-
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != f"#format {LOSSES_FORMAT} v{LOSSES_VERSION}":
-        raise FormatError(f"{path}: missing or wrong loss-log header")
-    out = []
-    for ln in lines[1:]:
-        step, _, value = ln.partition(" ")
-        out.append(float(value))
-    return np.array(out)
-
-
-def _read_manifest(data_dir: Path) -> dict:
-    path = data_dir / MANIFEST_NAME
-    if not path.exists():
-        raise InputError(f"{data_dir} has no {MANIFEST_NAME}; run synth-data first")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise InputError(f"{path}: unsupported manifest version {manifest.get('version')}")
-    return manifest
+    _, rows, body_start = TF.read_text_file(path, LOSSES_FORMAT, LOSSES_VERSION)
+    return np.array([TF.parse_value(path, line_no, float, value)
+                     for line_no, _, value in TF.keyed_rows(rows, body_start)])
 
 
 def _load_pairs(data_dir: Path):
-    manifest = _read_manifest(data_dir)
+    path = data_dir / MANIFEST_NAME
+    if not path.exists():
+        raise InputError(f"{data_dir} has no {MANIFEST_NAME}; run synth-data first")
+    manifest = TF.read_json_object(path, "manifest")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise InputError(f"{path}: unsupported manifest version {manifest.get('version')}")
+    if not isinstance(manifest.get("clips"), list):
+        raise FormatError(f"{path}: manifest has no 'clips' list")
     if not manifest["clips"]:
         raise InputError(f"{data_dir}: manifest lists no clips")
     pairs = []

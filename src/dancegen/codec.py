@@ -13,14 +13,15 @@ the per-channel levels, so encode/decode of indices is a pure bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import motion as MO
 from . import tensor as T
-from .checkpoint import config_hash, load_checkpoint, restore_into, save_checkpoint
-from .errors import ConfigError, InputError, OutOfRangeError, ShapeError
+from . import textfile as TF
+from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .errors import ConfigError, FormatError, InputError, OutOfRangeError, ShapeError
 from .motion import BodyPartSplit, Skeleton
 from .nn import Adam, Linear, Module, Rng, fan_in_uniform
 from .tensor import Parameter, Tensor
@@ -361,40 +362,26 @@ CODES_VERSION = 1
 
 
 def write_codes_file(path, codes: LatentCodeSequence) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"#format {CODES_FORMAT} v{CODES_VERSION}\n")
-        fh.write(f"#latent_len {codes.latent_len}\n")
-        fh.write(f"#codebook_size {codes.codebook_size}\n")
-        fh.write("upper " + " ".join(str(int(c)) for c in codes.upper) + "\n")
-        fh.write("lower " + " ".join(str(int(c)) for c in codes.lower) + "\n")
+    header = {"latent_len": codes.latent_len, "codebook_size": codes.codebook_size}
+    rows = [name + " " + " ".join(str(int(c)) for c in stream)
+            for name, stream in (("upper", codes.upper), ("lower", codes.lower))]
+    TF.write_text_file(path, CODES_FORMAT, CODES_VERSION, header, rows)
 
 
 def read_codes_file(path) -> LatentCodeSequence:
-    from .motion import _header_and_rows
-    from .errors import FormatError
-
-    header, rows, body_start = _header_and_rows(path, CODES_FORMAT, CODES_VERSION)
-    try:
-        latent_len = int(header["latent_len"])
-        k = int(header["codebook_size"])
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"{path}: bad or missing header field: {e}") from None
+    (latent_len, k), rows, body_start = TF.read_text_file(
+        path, CODES_FORMAT, CODES_VERSION, ("latent_len", "codebook_size")
+    )
     streams = {}
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if not parts:
-            continue
-        label, values = parts[0], parts[1:]
+    for line_no, label, rest in TF.keyed_rows(rows, body_start):
+        values = rest.split()
         if label not in ("upper", "lower"):
-            raise FormatError(f"{path}: line {body_start + i + 1}: unknown stream {label!r}")
+            raise FormatError(f"{path}: line {line_no}: unknown stream {label!r}")
         if len(values) != latent_len:
-            raise FormatError(
-                f"{path}: line {body_start + i + 1}: expected {latent_len} codes, got {len(values)}"
-            )
-        try:
-            streams[label] = np.array([int(v) for v in values], dtype=np.int64)
-        except ValueError as e:
-            raise FormatError(f"{path}: line {body_start + i + 1}: {e}") from None
+            raise FormatError(f"{path}: line {line_no}: expected {latent_len} codes, got {len(values)}")
+        streams[label] = np.array(
+            [TF.parse_value(path, line_no, int, v) for v in values], dtype=np.int64
+        )
     if set(streams) != {"upper", "lower"}:
         raise FormatError(f"{path}: needs exactly one 'upper' and one 'lower' stream")
     try:

@@ -1,77 +1,62 @@
 """Pipeline configuration: one JSON document with four sections.
 
-Every key is validated against the section dataclasses; unknown keys are
-rejected by name so a typo cannot silently fall back to a default. The
-generator's codebook size is always derived from the codec level list,
-never stated twice.
+The ``hfdq``, ``gadg`` and ``data`` sections are built from the stage
+dataclasses they feed, so each field's type and default is declared once,
+on the stage class; a section only chooses which stage fields are settable.
+Every key is validated against its section; unknown keys are rejected by
+name so a typo cannot silently fall back to a default. The generator's
+codebook size is always derived from the codec level list, never stated
+twice.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
+from . import textfile as TF
 from .codec import CodecTrainConfig, FsqConfig, LossConfig
 from .errors import ConfigError, FormatError
 from .generator import GadgConfig, GeneratorTrainConfig
+from .metrics import BAS_SIGMA
+from .music import SyntheticPairConfig
 
 CONFIG_ENV_VAR = "DANCEGEN_CONFIG"
 
 
-@dataclass
-class HfdqSection:
-    levels: tuple = (7, 5, 5, 5, 5)
-    feature_dim: int = 64
-    velocity_weight: float = 0.5
-    accel_weight: float = 0.25
-    steps: int = 2000
-    batch_size: int = 8
-    lr: float = 1e-3
-    noise_clips: int = 0
+def _section(class_name: str, *sources):
+    """A dataclass of the named fields of each (stage class, field names)
+    source, in the stage class's order and with its type and default."""
+    return make_dataclass(class_name, [
+        (f.name, f.type, field(default=f.default))
+        for cls, names in sources for f in fields(cls) if f.name in names
+    ])
 
 
-@dataclass
-class GadgSection:
-    model_dim: int = 128
-    num_genres: int = 4
-    num_layers: int = 2
-    num_heads: int = 8
-    ff_dim: int = 512
-    dropout: float = 0.25
-    state_dim: int = 16
-    conv_kernel: int = 4
-    expand: int = 2
-    autoregressive_step: int = 22
-    window_step: int = 8
-    max_positions: int = 256
-    steps: int = 3000
-    batch_size: int = 4
-    lr: float = 3e-4
-    top_k: int | None = None
-    temperature: float = 1.0
-
-
-@dataclass
-class DataSection:
-    seed: int = 0
-    clip_frames: int = 240
-    num_genres: int = 4
+HfdqSection = _section(
+    "HfdqSection",
+    (FsqConfig, ("levels", "feature_dim")),
+    (LossConfig, ("velocity_weight", "accel_weight")),
+    (CodecTrainConfig, ("steps", "batch_size", "lr", "noise_clips")),
+)
+GadgSection = _section(
+    "GadgSection",
+    (GadgConfig, ("model_dim", "num_genres", "num_layers", "num_heads", "ff_dim",
+                  "dropout", "state_dim", "conv_kernel", "expand",
+                  "autoregressive_step", "window_step", "max_positions")),
+    (GeneratorTrainConfig, ("steps", "batch_size", "lr")),
+)
+DataSection = _section(
+    "DataSection",
+    (SyntheticPairConfig, ("seed", "clip_frames")),
+    (GadgConfig, ("num_genres",)),
+)
 
 
 @dataclass
 class MetricsSection:
-    bas_sigma: float = 3.0
-    feature_kinds: tuple = ("kinetic", "geometric")
-
-
-_SECTIONS = {
-    "hfdq": HfdqSection,
-    "gadg": GadgSection,
-    "data": DataSection,
-    "metrics": MetricsSection,
-}
+    bas_sigma: float = BAS_SIGMA
 
 
 @dataclass
@@ -98,63 +83,47 @@ class PipelineConfig:
         return math.prod(self.hfdq.levels)
 
     def fsq_config(self) -> FsqConfig:
-        return FsqConfig(levels=tuple(self.hfdq.levels), feature_dim=self.hfdq.feature_dim)
+        return _stage_config(FsqConfig, self.hfdq)
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            velocity_weight=self.hfdq.velocity_weight,
-            accel_weight=self.hfdq.accel_weight,
-        )
+        return _stage_config(LossConfig, self.hfdq)
 
     def codec_train_config(self) -> CodecTrainConfig:
-        return CodecTrainConfig(
-            steps=self.hfdq.steps, batch_size=self.hfdq.batch_size,
-            lr=self.hfdq.lr, seed=self.data.seed, noise_clips=self.hfdq.noise_clips,
-        )
+        return _stage_config(CodecTrainConfig, self.hfdq, seed=self.data.seed)
 
     def gadg_config(self) -> GadgConfig:
-        g = self.gadg
-        return GadgConfig(
-            model_dim=g.model_dim, num_genres=g.num_genres, num_layers=g.num_layers,
-            num_heads=g.num_heads, ff_dim=g.ff_dim, dropout=g.dropout,
-            state_dim=g.state_dim, conv_kernel=g.conv_kernel, expand=g.expand,
-            autoregressive_step=g.autoregressive_step, window_step=g.window_step,
-            codebook_size=self.codebook_size, max_positions=g.max_positions,
-        )
+        return _stage_config(GadgConfig, self.gadg, codebook_size=self.codebook_size)
 
     def generator_train_config(self) -> GeneratorTrainConfig:
-        return GeneratorTrainConfig(
-            steps=self.gadg.steps, batch_size=self.gadg.batch_size,
-            lr=self.gadg.lr, seed=self.data.seed,
-        )
+        return _stage_config(GeneratorTrainConfig, self.gadg, seed=self.data.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def _section_from_dict(name: str, cls, raw: dict):
-    allowed = {f.name: f for f in fields(cls)}
-    unknown = set(raw) - set(allowed)
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(
-            f"unknown config key {sorted(unknown)[0]!r} in section {name!r}"
-        )
-    kwargs = dict(raw)
-    for key in ("levels", "feature_kinds"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
+        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in section {name!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+
+
+def _stage_config(cls, section, **derived):
+    """``cls`` built from the section's fields of the same name plus the
+    ``derived`` values; stage fields in neither keep their class default."""
+    names = {f.name for f in fields(cls)}
+    values = {f.name: getattr(section, f.name) for f in fields(section) if f.name in names}
+    return cls(**values, **derived)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    unknown = set(raw) - set(_SECTIONS)
+    sections = {f.name: f.default_factory for f in fields(PipelineConfig)}
+    unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config section {sorted(unknown)[0]!r}")
-    sections = {
-        name: _section_from_dict(name, cls, raw.get(name, {}))
-        for name, cls in _SECTIONS.items()
-    }
-    return PipelineConfig(**sections)
+    return PipelineConfig(**{
+        name: _section_from_dict(name, cls, raw.get(name, {})) for name, cls in sections.items()
+    })
 
 
 def load_config(path=None) -> PipelineConfig:
@@ -165,14 +134,7 @@ def load_config(path=None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     try:
-        with open(path) as fh:
-            text = fh.read()
+        raw = TF.read_json_object(path, "config")
     except OSError as e:
         raise FormatError(f"cannot read config {path}: {e}") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: config root must be a JSON object")
     return config_from_dict(raw)

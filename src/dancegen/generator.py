@@ -120,12 +120,6 @@ def build_sliding_mask(t_latent: int, a_step: int, s: int) -> np.ndarray:
 # Selective state-space pieces
 
 
-def _wrap(x):
-    if isinstance(x, Tensor):
-        return x, False
-    return Tensor(np.asarray(x, dtype=np.float64)), True
-
-
 def mamba_discretize(a, b, dt):
     """Zero-order-hold discretization of h' = a h + b x, elementwise.
 
@@ -133,9 +127,9 @@ def mamba_discretize(a, b, dt):
     which is the exact matrix formula restricted to a diagonal state matrix.
     dt must be strictly positive.
     """
-    at, pa = _wrap(a)
-    bt, pb = _wrap(b)
-    dtt, pd = _wrap(dt)
+    at, pa = T.wrap(a)
+    bt, pb = T.wrap(b)
+    dtt, pd = T.wrap(dt)
     if (dtt.data <= 0).any():
         raise ContractError("discretization step dt must be strictly positive")
     u = dtt * at
@@ -154,11 +148,11 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, parallel: bool = Fals
     associative doubling evaluation (forward only, no tape) that must agree
     to 1e-10.
     """
-    x, _ = _wrap(x)
-    a_diag, _ = _wrap(a_diag)
-    b_seq, _ = _wrap(b_seq)
-    c_seq, _ = _wrap(c_seq)
-    dt, _ = _wrap(dt)
+    x, _ = T.wrap(x)
+    a_diag, _ = T.wrap(a_diag)
+    b_seq, _ = T.wrap(b_seq)
+    c_seq, _ = T.wrap(c_seq)
+    dt, _ = T.wrap(dt)
     t_len, d_inner = x.shape
     n = a_diag.shape[-1]
     abar, bbar = mamba_discretize(
@@ -173,7 +167,7 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, parallel: bool = Fals
         h = T.linear_recurrence(abar, drive)
     y = T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
     if skip is not None:
-        skip, _ = _wrap(skip)
+        skip, _ = T.wrap(skip)
         y = y + skip * x
     return y
 
@@ -362,7 +356,7 @@ class GadgModel(Module):
         cfg = self.cfg
         if not 0 <= genre_id < cfg.num_genres:
             raise RoutingError(f"genre id {genre_id} outside [0, {cfg.num_genres})")
-        music, _ = _wrap(music_pooled)
+        music, _ = T.wrap(music_pooled)
         upper_in = np.asarray(upper_in, dtype=np.int64)
         lower_in = np.asarray(lower_in, dtype=np.int64)
         t_len = upper_in.shape[0]
@@ -485,8 +479,6 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
 def _sample_code(logits: np.ndarray, rng, top_k, temperature: float) -> int:
     if top_k is None:
         return int(np.argmax(logits))
-    if top_k < 1:
-        raise InputError(f"top_k must be >= 1, got {top_k}")
     kept = np.argsort(logits)[::-1][:top_k]
     scaled = logits[kept] / temperature
     scaled = scaled - scaled.max()
@@ -506,7 +498,8 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
     everything before them; afterwards the mask's sliding window drops
     context in ``window_step`` chunks, matching the windowed long-sequence
     procedure the mask encodes. Argmax by default; ``top_k`` switches to
-    seeded categorical sampling.
+    seeded categorical sampling at ``temperature``, which must be finite
+    and positive.
     """
     cfg = model.cfg
     if duration_frames <= 0:
@@ -515,6 +508,10 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
         raise InputError(
             f"duration {duration_frames} is not a multiple of {cfg.frames_per_code} frames per code"
         )
+    if top_k is not None and top_k < 1:
+        raise InputError(f"top_k must be >= 1, got {top_k}")
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise InputError(f"temperature must be finite and > 0, got {temperature}")
     t_target = duration_frames // cfg.frames_per_code
     if t_target > cfg.max_positions:
         raise InputError(

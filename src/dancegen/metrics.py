@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import motion as MO
+from . import textfile as TF
 from .errors import FormatError, InputError, ShapeError
 
-JOINT_COUNT = 24
 KINETIC_WIDTH = 72  # 24 joints x mean |speed|, |accel|, |jerk|
 GEOMETRIC_WIDTH = 32  # (8 distance pairs + 8 angle triples) x (mean, std)
+BAS_SIGMA = 3.0  # beat-alignment kernel width in frames
 
 # wrists/ankles against each other, the head, and the root: limb spread
 DISTANCE_PAIRS = (
@@ -150,7 +151,7 @@ def diversity(features: np.ndarray) -> float:
     return float(dist[iu].mean())
 
 
-def beat_align_score(music_beats, kinematic_beats, sigma: float = 3.0) -> float:
+def beat_align_score(music_beats, kinematic_beats, sigma: float = BAS_SIGMA) -> float:
     """Mean Gaussian-kernel proximity of each music beat to its nearest
     kinematic beat: (1/|B_m|) sum exp(-min_k (t_m - t_k)^2 / (2 sigma^2)).
 
@@ -179,31 +180,21 @@ def write_report_file(path, report: dict) -> None:
     missing = [f for f in REPORT_FIELDS if f not in report]
     if missing:
         raise FormatError(f"report missing fields: {', '.join(missing)}")
-    with open(path, "w") as fh:
-        fh.write(f"#format {REPORT_FORMAT} v{REPORT_VERSION}\n")
-        for field in REPORT_FIELDS:
-            fh.write(f"{field} {report[field]}\n")
+    rows = (f"{field} {report[field]}" for field in REPORT_FIELDS)
+    TF.write_text_file(path, REPORT_FORMAT, REPORT_VERSION, {}, rows)
 
 
 def read_report_file(path) -> dict:
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        _, rows, body_start = TF.read_text_file(path, REPORT_FORMAT, REPORT_VERSION)
     except OSError as e:
         raise FormatError(f"cannot read report {path}: {e}") from None
-    if not lines or lines[0] != f"#format {REPORT_FORMAT} v{REPORT_VERSION}":
-        raise FormatError(f"{path}: missing or wrong format header")
     report = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition(" ")
+    for line_no, key, value in TF.keyed_rows(rows, body_start):
         if key not in REPORT_FIELDS:
-            raise FormatError(f"{path}: unknown report field {key!r}")
-        if key == "n_sequences":
-            report[key] = int(value)
-        elif key == "config_hash":
-            report[key] = value
-        else:
-            report[key] = float(value)
+            raise FormatError(f"{path}: line {line_no}: unknown report field {key!r}")
+        kind = {"n_sequences": int, "config_hash": str}.get(key, float)
+        report[key] = TF.parse_value(path, line_no, kind, value)
     missing = [f for f in REPORT_FIELDS if f not in report]
     if missing:
         raise FormatError(f"{path}: report missing fields: {', '.join(missing)}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from . import textfile as TF
 from .errors import ContractError, DegenerateInputError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -67,8 +68,6 @@ DEFAULT_OFFSETS = np.array([
 # root translation as well, so widths are 3 + 9*6 = 57 and 15*6 = 90.
 LOWER_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
 UPPER_JOINTS = tuple(j for j in range(JOINT_COUNT) if j not in LOWER_JOINTS)
-LOWER_WIDTH = 3 + 6 * len(LOWER_JOINTS)
-UPPER_WIDTH = 6 * len(UPPER_JOINTS)
 
 _DEGENERACY_EPS = 1e-8
 
@@ -151,13 +150,6 @@ class MotionSequence:
         return self.frames.shape[0]
 
 
-def _wrap(x):
-    """Return (tensor, was_ndarray) so functions accept either kind."""
-    if isinstance(x, Tensor):
-        return x, False
-    return Tensor(np.asarray(x, dtype=np.float64)), True
-
-
 def rot6d_to_matrix(r):
     """Gram-Schmidt a [..., 6] 6D rotation into [..., 3, 3].
 
@@ -167,7 +159,7 @@ def rot6d_to_matrix(r):
     column nearly parallel to the first) raise instead of being repaired:
     silent repair would hide upstream training bugs.
     """
-    r, plain = _wrap(r)
+    r, plain = T.wrap(r)
     if r.shape[-1] != 6:
         raise ShapeError(f"6D rotations need a trailing axis of 6, got {r.shape}")
 
@@ -216,7 +208,7 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
     """
     if skeleton is None:
         skeleton = Skeleton.default()
-    x, plain = _wrap(frames)
+    x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"frames must end in width {FRAME_WIDTH}, got {x.shape}")
     if x.ndim < 2:
@@ -276,7 +268,7 @@ def split_body(frames, split: BodyPartSplit | None = None):
     """
     if split is None:
         split = BodyPartSplit.default()
-    x, plain = _wrap(frames)
+    x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"split_body expects trailing width {FRAME_WIDTH}, got {x.shape}")
     upper_sel, lower_sel = _selectors(split)
@@ -289,8 +281,8 @@ def merge_body(upper, lower, split: BodyPartSplit | None = None):
     """Inverse of split_body; bit-exact because columns merely scatter back."""
     if split is None:
         split = BodyPartSplit.default()
-    u, plain_u = _wrap(upper)
-    l, plain_l = _wrap(lower)
+    u, plain_u = T.wrap(upper)
+    l, plain_l = T.wrap(lower)
     upper_sel, lower_sel = _selectors(split)
     if u.shape[-1] != upper_sel.shape[1] or l.shape[-1] != lower_sel.shape[1]:
         raise ShapeError(
@@ -312,7 +304,7 @@ def finite_difference(x, order: int):
     t_axis_len = np.shape(x if not isinstance(x, Tensor) else x.data)[-2]
     if t_axis_len < order + 1:
         raise ShapeError(f"need at least {order + 1} frames for order {order}, got {t_axis_len}")
-    xt, plain = _wrap(x)
+    xt, plain = T.wrap(x)
     ax = xt.ndim - 2
     if order == 1:
         out = T.narrow(xt, ax, 1, t_axis_len - 1) - T.narrow(xt, ax, 0, t_axis_len - 1)
@@ -333,67 +325,14 @@ MOTION_VERSION = 1
 
 
 def write_motion_file(path, motion: MotionSequence) -> None:
-    frames = motion.frames
-    with open(path, "w") as fh:
-        fh.write(f"#format {MOTION_FORMAT} v{MOTION_VERSION}\n")
-        fh.write(f"#fps {motion.fps}\n")
-        fh.write(f"#joint_count {JOINT_COUNT}\n")
-        fh.write(f"#frame_count {frames.shape[0]}\n")
-        for row in frames:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def _header_and_rows(path, expected_format, expected_version):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    body_start = len(lines)
-    for i, line in enumerate(lines):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        parts = line[1:].split(maxsplit=1)
-        if len(parts) != 2:
-            raise FormatError(f"{path}: line {i + 1}: malformed header entry {line!r}")
-        header[parts[0]] = parts[1]
-    fmt = header.get("format", "<missing>")
-    expected = f"{expected_format} v{expected_version}"
-    if fmt.split()[0] != expected_format:
-        raise FormatError(f"{path}: expected a {expected_format!r} file, found {fmt!r}")
-    if fmt != expected:
-        raise FormatError(f"{path}: unsupported version {fmt!r}; this reader handles {expected!r}")
-    return header, lines[body_start:], body_start
-
-
-def _parse_float_rows(path, rows, first_line, width, count):
-    data = np.empty((count, width))
-    if len(rows) != count:
-        raise FormatError(f"{path}: header promises {count} rows, file has {len(rows)}")
-    for i, row in enumerate(rows):
-        fields = row.split()
-        if len(fields) != width:
-            raise FormatError(
-                f"{path}: line {first_line + i + 1}: expected {width} fields, got {len(fields)}"
-            )
-        try:
-            data[i] = [float(f) for f in fields]
-        except ValueError as e:
-            raise FormatError(f"{path}: line {first_line + i + 1}: {e}") from None
-    return data
+    header = {"fps": motion.fps, "joint_count": JOINT_COUNT, "frame_count": motion.frames.shape[0]}
+    TF.write_text_file(path, MOTION_FORMAT, MOTION_VERSION, header,
+                       (TF.float_row(row) for row in motion.frames))
 
 
 def read_motion_file(path) -> MotionSequence:
-    header, rows, body_start = _header_and_rows(path, MOTION_FORMAT, MOTION_VERSION)
-    try:
-        fps = int(header["fps"])
-        joints = int(header["joint_count"])
-        count = int(header["frame_count"])
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"{path}: bad or missing header field: {e}") from None
-    if fps != FPS:
-        raise FormatError(f"{path}: fps {fps} unsupported, expected {FPS}")
-    if joints != JOINT_COUNT:
-        raise FormatError(f"{path}: joint_count {joints} unsupported, expected {JOINT_COUNT}")
-    frames = _parse_float_rows(path, rows, body_start, FRAME_WIDTH, count)
-    return MotionSequence(frames)
+    (count,), rows, body_start = TF.read_text_file(
+        path, MOTION_FORMAT, MOTION_VERSION, ("frame_count",),
+        fixed={"fps": FPS, "joint_count": JOINT_COUNT},
+    )
+    return MotionSequence(TF.parse_float_rows(path, rows, body_start, FRAME_WIDTH, count))

@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .motion import (
-    FPS,
-    FRAME_WIDTH,
-    JOINT_COUNT,
-    MotionSequence,
-    _header_and_rows,
-    _parse_float_rows,
-)
+from . import textfile as TF
+from .motion import FPS, FRAME_WIDTH, JOINT_COUNT, MotionSequence
 
 MUSIC_WIDTH = 35
 MFCC_DIM = 20
@@ -77,31 +71,18 @@ class MusicFeatureSequence:
 
 
 def write_music_file(path, music: MusicFeatureSequence) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"#format {MUSIC_FORMAT} v{MUSIC_VERSION}\n")
-        fh.write(f"#fps {music.fps}\n")
-        fh.write(f"#width {MUSIC_WIDTH}\n")
-        fh.write(f"#frame_count {music.frames.shape[0]}\n")
-        fh.write(f"#genre_id {music.genre_id}\n")
-        for row in music.frames:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    header = {"fps": music.fps, "width": MUSIC_WIDTH,
+              "frame_count": music.frames.shape[0], "genre_id": music.genre_id}
+    TF.write_text_file(path, MUSIC_FORMAT, MUSIC_VERSION, header,
+                       (TF.float_row(row) for row in music.frames))
 
 
 def read_music_file(path) -> MusicFeatureSequence:
-    header, rows, body_start = _header_and_rows(path, MUSIC_FORMAT, MUSIC_VERSION)
-    try:
-        fps = int(header["fps"])
-        width = int(header["width"])
-        count = int(header["frame_count"])
-        genre = int(header["genre_id"])
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"{path}: bad or missing header field: {e}") from None
-    if fps != FPS:
-        raise FormatError(f"{path}: fps {fps} unsupported, expected {FPS}")
-    if width != MUSIC_WIDTH:
-        raise FormatError(f"{path}: width {width} unsupported, expected {MUSIC_WIDTH}")
-    frames = _parse_float_rows(path, rows, body_start, MUSIC_WIDTH, count)
+    (count, genre), rows, body_start = TF.read_text_file(
+        path, MUSIC_FORMAT, MUSIC_VERSION, ("frame_count", "genre_id"),
+        fixed={"fps": FPS, "width": MUSIC_WIDTH},
+    )
+    frames = TF.parse_float_rows(path, rows, body_start, MUSIC_WIDTH, count)
     return MusicFeatureSequence(frames, genre)
 
 

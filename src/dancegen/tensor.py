@@ -135,6 +135,13 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def wrap(x):
+    """(tensor, was_plain), so a function can take a Tensor or an array-like."""
+    if isinstance(x, Tensor):
+        return x, False
+    return Tensor(np.asarray(x, dtype=np.float64)), True
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` to undo numpy broadcasting."""
     if g.shape == shape:

@@ -1,0 +1,109 @@
+"""The one home of the versioned text-file idiom used by the motion, music,
+latent-code, loss-log and report files: a ``#format <name> v<n>`` line,
+further ``#key value`` header lines, then one record per line. Readers
+share one header check and one style of line-numbered ``FormatError``.
+The JSON documents (config, manifest, checkpoint) share one reader too.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def write_text_file(path, fmt: str, version: int, header: dict, rows) -> None:
+    """The format line, a ``#key value`` line per header entry, then the rows."""
+    with open(path, "w") as fh:
+        fh.write(f"#format {fmt} v{version}\n")
+        for key, value in header.items():
+            fh.write(f"#{key} {value}\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def float_row(values) -> str:
+    """Floats written by ``repr``, so they read back exactly."""
+    return " ".join(repr(float(v)) for v in values)
+
+
+def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):
+    """Check the format line and that each ``fixed`` integer header field
+    has its one supported value; return (the ``ints`` header fields as
+    integers, the body lines, the index of the first body line). The
+    header ends at the first line without '#'."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = {}
+    body_start = len(lines)
+    for i, line in enumerate(lines):
+        if not line.startswith("#"):
+            body_start = i
+            break
+        parts = line[1:].split(maxsplit=1)
+        if len(parts) != 2:
+            raise FormatError(f"{path}: line {i + 1}: malformed header entry {line!r}")
+        header[parts[0]] = parts[1]
+    found = header.get("format", "<missing>")
+    expected = f"{fmt} v{version}"
+    if found.split()[0] != fmt:
+        raise FormatError(f"{path}: expected a {fmt!r} file, found {found!r}")
+    if found != expected:
+        raise FormatError(f"{path}: unsupported version {found!r}; this reader handles {expected!r}")
+    fixed = fixed or {}
+    try:
+        values = {key: int(header[key]) for key in (*fixed, *ints)}
+    except (KeyError, ValueError) as e:
+        raise FormatError(f"{path}: bad or missing header field: {e}") from None
+    for key, supported in fixed.items():
+        if values[key] != supported:
+            raise FormatError(f"{path}: {key} {values[key]} unsupported, expected {supported}")
+    return [values[key] for key in ints], lines[body_start:], body_start
+
+
+def parse_float_rows(path, rows, body_start: int, width: int, count: int) -> np.ndarray:
+    """Exactly ``count`` rows of ``width`` floats as a [count, width] array."""
+    data = np.empty((count, width))
+    if len(rows) != count:
+        raise FormatError(f"{path}: header promises {count} rows, file has {len(rows)}")
+    for i, row in enumerate(rows):
+        fields = row.split()
+        if len(fields) != width:
+            raise FormatError(
+                f"{path}: line {body_start + i + 1}: expected {width} fields, got {len(fields)}"
+            )
+        try:
+            data[i] = [float(f) for f in fields]
+        except ValueError as e:
+            raise FormatError(f"{path}: line {body_start + i + 1}: {e}") from None
+    return data
+
+
+def keyed_rows(rows, body_start: int):
+    """(line number, first field, rest of the line) per non-blank body line."""
+    for i, row in enumerate(rows):
+        parts = row.split(maxsplit=1)
+        if parts:
+            yield body_start + i + 1, parts[0], parts[1] if len(parts) > 1 else ""
+
+
+def parse_value(path, line_no: int, kind, text: str):
+    """``kind(text)``; a ValueError becomes a FormatError naming the line."""
+    try:
+        return kind(text)
+    except ValueError as e:
+        raise FormatError(f"{path}: line {line_no}: {e}") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """A JSON document whose root is an object; anything else is a FormatError."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} root must be a JSON object")
+    return doc

@@ -94,6 +94,16 @@ def test_train_requires_data_dir(env, tmp_path):
                  "--data", str(tmp_path), "--out-ckpt", str(tmp_path / "c.json")]) == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"version": 1}'])
+def test_malformed_manifest_is_validation_error(tmp_path, capsys, text):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "manifest.json").write_text(text)
+    assert main(["train-hfdq", "--data", str(data),
+                 "--out-ckpt", str(tmp_path / "c.json")]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_train_gadg_missing_codec_is_dependency_error(env, tmp_path, capsys):
     code = main(["train-gadg", "--config", str(env["cfg"]), "--data", str(env["data"]),
                  "--hfdq-ckpt", str(tmp_path / "nope.json"),
@@ -150,6 +160,18 @@ def test_generate_deterministic(env, tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert read_motion_file(tmp_path / "g1.motion.txt").frames.shape == (64, FRAME_WIDTH)
+
+
+@pytest.mark.parametrize("temperature", ["0", "-1"])
+def test_generate_rejects_bad_temperature(env, tmp_path, capsys, temperature):
+    code = main(["generate", "--gadg-ckpt", str(env["gen"]),
+                 "--hfdq-ckpt", str(env["codec"]),
+                 "--music", str(env["data"] / "clip_0001.music.txt"),
+                 "--genre", "1", "--frames", "32", "--top-k", "3",
+                 "--temperature", temperature, "--out", str(tmp_path / "x.txt")])
+    assert code == 2
+    assert "temperature" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_generate_unknown_genre_lists_valid_ids(env, tmp_path, capsys):

@@ -101,3 +101,53 @@ def test_malformed_config_files(tmp_path):
         load_config(wrong_root)
     with pytest.raises(FormatError, match="cannot read"):
         load_config(tmp_path / "missing.json")
+
+
+SECTION_KEYS = {
+    "hfdq": {"levels", "feature_dim", "velocity_weight", "accel_weight",
+             "steps", "batch_size", "lr", "noise_clips"},
+    "gadg": {"model_dim", "num_genres", "num_layers", "num_heads", "ff_dim", "dropout",
+             "state_dim", "conv_kernel", "expand", "autoregressive_step", "window_step",
+             "max_positions", "steps", "batch_size", "lr"},
+    "data": {"seed", "clip_frames", "num_genres"},
+    "metrics": {"bas_sigma"},
+}
+
+
+def test_section_key_sets_are_pinned():
+    sections = PipelineConfig().to_dict()
+    assert {name: set(values) for name, values in sections.items()} == SECTION_KEYS
+
+
+@pytest.mark.parametrize("section, key", [
+    ("gadg", "top_k"), ("gadg", "temperature"), ("metrics", "feature_kinds"),
+    # stage fields that are fixed or derived, never settable
+    ("hfdq", "betas"), ("hfdq", "seed"), ("gadg", "seed"), ("gadg", "head_gain"),
+    ("gadg", "music_dim"), ("gadg", "frames_per_code"), ("gadg", "codebook_size"),
+])
+def test_unsettable_keys_rejected_by_name(section, key):
+    with pytest.raises(ConfigError, match=rf"'{key}'.*'{section}'"):
+        config_from_dict({section: {key: 1}})
+
+
+def test_defaults_are_the_stage_defaults():
+    cfg = PipelineConfig()
+    assert cfg.fsq_config() == FsqConfig()
+    assert cfg.loss_config() == LossConfig()
+    assert cfg.codec_train_config() == CodecTrainConfig()
+    assert cfg.gadg_config() == GadgConfig()
+    assert cfg.generator_train_config() == GeneratorTrainConfig()
+
+
+def test_overrides_reach_the_stage_configs():
+    cfg = config_from_dict({
+        "hfdq": {"levels": [3, 3], "accel_weight": 0.1, "lr": 0.01, "noise_clips": 2},
+        "gadg": {"dropout": 0.1, "max_positions": 64, "lr": 0.02, "batch_size": 3},
+        "data": {"seed": 5},
+    })
+    assert cfg.fsq_config().levels == (3, 3)
+    assert cfg.loss_config().accel_weight == 0.1
+    assert cfg.codec_train_config() == CodecTrainConfig(lr=0.01, noise_clips=2, seed=5)
+    g = cfg.gadg_config()
+    assert (g.dropout, g.max_positions, g.codebook_size) == (0.1, 64, 9)
+    assert cfg.generator_train_config() == GeneratorTrainConfig(lr=0.02, batch_size=3, seed=5)

@@ -570,6 +570,15 @@ def test_generate_rejects_bad_top_k():
         generate(model, music, 0, 8 * cfg.frames_per_code, top_k=0)
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+def test_generate_rejects_bad_temperature(temperature):
+    cfg = tiny_cfg()
+    model = GadgModel(cfg, seed=0)
+    music = np.zeros((8 * cfg.frames_per_code, cfg.music_dim))
+    with pytest.raises(InputError, match="temperature"):
+        generate(model, music, 0, 8 * cfg.frames_per_code, top_k=3, temperature=temperature)
+
+
 # ---------------------------------------------------------------------------
 # Checkpointing
 

@@ -1,0 +1,104 @@
+"""The shared text-file idiom: exact bytes of every writer, and
+line-numbered errors from the loss-log and report readers."""
+
+import numpy as np
+import pytest
+
+from dancegen.cli import read_loss_log, write_loss_log
+from dancegen.codec import LatentCodeSequence, read_codes_file, write_codes_file
+from dancegen.errors import FormatError
+from dancegen.metrics import read_report_file, write_report_file
+from dancegen.motion import FRAME_WIDTH, MotionSequence, read_motion_file, write_motion_file
+from dancegen.music import MUSIC_WIDTH, MusicFeatureSequence, read_music_file, write_music_file
+
+REPORT = {
+    "fid_k": 1.25, "fid_g": 0.1, "div_k": 3.0, "div_g": 4.5, "bas": 0.875,
+    "n_sequences": 8, "config_hash": "ab12cd34ef56ab78",
+}
+
+
+def test_motion_bytes(tmp_path):
+    frames = np.full((2, FRAME_WIDTH), 0.1)
+    frames[1] = -2.5e-07
+    path = tmp_path / "a.motion.txt"
+    write_motion_file(path, MotionSequence(frames))
+    expected = (
+        "#format dancegen-motion v1\n#fps 30\n#joint_count 24\n#frame_count 2\n"
+        + " ".join(["0.1"] * FRAME_WIDTH) + "\n"
+        + " ".join(["-2.5e-07"] * FRAME_WIDTH) + "\n"
+    )
+    assert path.read_text() == expected
+    assert np.array_equal(read_motion_file(path).frames, frames)
+
+
+def test_music_bytes(tmp_path):
+    row = [0.25] * (MUSIC_WIDTH - 3) + [1.0, 0.0, 0.5]
+    path = tmp_path / "a.music.txt"
+    write_music_file(path, MusicFeatureSequence(np.array([row]), genre_id=3))
+    expected = (
+        "#format dancegen-music v1\n#fps 30\n#width 35\n#frame_count 1\n#genre_id 3\n"
+        + " ".join(["0.25"] * (MUSIC_WIDTH - 3)) + " 1.0 0.0 0.5\n"
+    )
+    assert path.read_text() == expected
+    back = read_music_file(path)
+    assert back.genre_id == 3 and np.array_equal(back.frames, [row])
+
+
+def test_codes_bytes(tmp_path):
+    path = tmp_path / "a.codes.txt"
+    write_codes_file(path, LatentCodeSequence([3, 0, 9], [1, 2, 4], 10))
+    assert path.read_text() == (
+        "#format dancegen-codes v1\n#latent_len 3\n#codebook_size 10\n"
+        "upper 3 0 9\nlower 1 2 4\n"
+    )
+    back = read_codes_file(path)
+    assert back.upper.tolist() == [3, 0, 9] and back.lower.tolist() == [1, 2, 4]
+
+
+def test_loss_log_bytes(tmp_path):
+    path = tmp_path / "losses.txt"
+    write_loss_log(path, [1.5, np.float64(0.1), 2])
+    assert path.read_text() == "#format dancegen-losses v1\n0 1.5\n1 0.1\n2 2.0\n"
+    assert read_loss_log(path).tolist() == [1.5, 0.1, 2.0]
+
+
+def test_report_bytes(tmp_path):
+    path = tmp_path / "report.txt"
+    write_report_file(path, REPORT)
+    assert path.read_text() == (
+        "#format dancegen-report v1\nfid_k 1.25\nfid_g 0.1\ndiv_k 3.0\ndiv_g 4.5\n"
+        "bas 0.875\nn_sequences 8\nconfig_hash ab12cd34ef56ab78\n"
+    )
+    assert read_report_file(path) == REPORT
+
+
+def test_loss_log_rejects_wrong_header(tmp_path):
+    path = tmp_path / "losses.txt"
+    path.write_text("#format dancegen-report v1\n0 1.5\n")
+    with pytest.raises(FormatError, match="dancegen-losses"):
+        read_loss_log(path)
+    path.write_text("#format dancegen-losses v2\n0 1.5\n")
+    with pytest.raises(FormatError, match="version"):
+        read_loss_log(path)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0 1.5\n1 abc\n", "line 3"),
+    ("0 1.5\n\n2\n", "line 4"),
+])
+def test_loss_log_bad_value_names_line(tmp_path, body, line):
+    path = tmp_path / "losses.txt"
+    path.write_text("#format dancegen-losses v1\n" + body)
+    with pytest.raises(FormatError, match=line):
+        read_loss_log(path)
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("fid_g", "nope", "line 3"),
+    ("n_sequences", "2.5", "line 7"),
+])
+def test_report_bad_value_names_line(tmp_path, key, value, line):
+    path = tmp_path / "report.txt"
+    write_report_file(path, dict(REPORT, **{key: value}))
+    with pytest.raises(FormatError, match=line):
+        read_report_file(path)
