@@ -82,10 +82,16 @@ def _load_pairs(data_dir: Path):
     if not manifest["clips"]:
         raise InputError(f"{data_dir}: manifest lists no clips")
     pairs = []
-    for entry in manifest["clips"]:
+    for i, entry in enumerate(manifest["clips"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("music"), str)
+                and isinstance(entry.get("motion"), str) and type(entry.get("genre_id")) is int):
+            raise FormatError(
+                f"{path}: clip entry {i} must be an object with string 'music' and "
+                f"'motion' and an integer 'genre_id'"
+            )
         music = read_music_file(data_dir / entry["music"])
         clip = read_motion_file(data_dir / entry["motion"])
-        pairs.append((music, clip, int(entry["genre_id"])))
+        pairs.append((music, clip, entry["genre_id"]))
     return pairs
 
 

@@ -218,21 +218,22 @@ class ConvEncoder(Module):
 
 class ConvDecoder(Module):
     """Two-layer MLP, three stride-2 transposed convolutions, then a
-    residual refinement pair at full frame rate.
+    residual refinement pair at full frame rate, rendering the frame
+    columns ``cols`` of one body part.
 
     The transposed convolutions only give each output frame two taps per
     layer, which is too coarse to render smooth within-chunk trajectories;
     the stride-1 refinement convs add that detail. Their last layer is
-    zero-initialised so the decoder starts exactly at ``output_bias`` (the
-    rest pose of its body part): decoded frames must be valid rotation data
-    from step zero, since the training loss runs kinematics on them and
-    degenerate 6D columns are a hard error rather than something the chain
-    repairs.
+    zero-initialised so the decoder starts exactly at the rest frame on
+    ``cols``: decoded frames must be valid rotation data from step zero,
+    since the training loss runs kinematics on them and degenerate 6D
+    columns are a hard error rather than something the chain repairs.
     """
 
-    def __init__(self, width: int, cfg: FsqConfig, rng: Rng, output_bias: np.ndarray | None = None):
+    def __init__(self, cols: np.ndarray, cfg: FsqConfig, rng: Rng):
         super().__init__()
         f = cfg.feature_dim
+        width = len(cols)
         self.mlp_in = Linear(cfg.latent_dim, f, rng.child("mlp_in"))
         self.mlp_hidden = Linear(f, f, rng.child("mlp_hidden"))
         self.tconvs = [
@@ -242,10 +243,7 @@ class ConvDecoder(Module):
             )
             for i, (cin, cout) in enumerate([(f, f), (f, f), (f, width)])
         ]
-        if output_bias is not None:
-            if output_bias.shape != (width,):
-                raise ShapeError(f"output bias must have shape ({width},), got {output_bias.shape}")
-            self.tconvs[-1][1].data = np.asarray(output_bias, dtype=np.float64).copy()
+        self.tconvs[-1][1].data = MO.REST_FRAME[cols]
         self.refine = [
             _conv_params(rng.child("refine0"), REFINE_KERNEL, width, f),
             _conv_params(rng.child("refine1"), REFINE_KERNEL, f, width, gain=0.0),
@@ -268,13 +266,6 @@ def _conv_params(rng: Rng, kernel: int, cin: int, cout: int, gain: float = 1.0):
     return w, b
 
 
-def _rest_pose_bias(joint_count: int, with_translation: bool) -> np.ndarray:
-    """Identity rotation (1,0,0,0,1,0) per joint, zero translation."""
-    ident = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    parts = ([np.zeros(3)] if with_translation else []) + [ident] * joint_count
-    return np.concatenate(parts)
-
-
 class CodecModel(Module):
     """Both body-part branches plus the shared quantizer grid."""
 
@@ -284,31 +275,31 @@ class CodecModel(Module):
         self.split = split or BodyPartSplit.default()
         rng = Rng(seed).child("codec")
         self.upper_encoder = ConvEncoder(self.split.upper_width, cfg, rng.child("upper_encoder"))
-        self.upper_decoder = ConvDecoder(
-            self.split.upper_width, cfg, rng.child("upper_decoder"),
-            output_bias=_rest_pose_bias(len(self.split.upper), with_translation=False),
-        )
+        self.upper_decoder = ConvDecoder(self.split.upper_cols, cfg, rng.child("upper_decoder"))
         self.lower_encoder = ConvEncoder(self.split.lower_width, cfg, rng.child("lower_encoder"))
-        self.lower_decoder = ConvDecoder(
-            self.split.lower_width, cfg, rng.child("lower_decoder"),
-            output_bias=_rest_pose_bias(len(self.split.lower), with_translation=True),
-        )
+        self.lower_decoder = ConvDecoder(self.split.lower_cols, cfg, rng.child("lower_decoder"))
 
-    def reconstruct(self, frames: Tensor):
-        """Full differentiable pass; returns (frames_hat, upper codes, lower codes)."""
+    def _quantize(self, frames: Tensor):
+        """Frames -> ((upper, lower) quantized levels, (upper, lower) integer levels)."""
         upper, lower = MO.split_body(frames, self.split)
         qu, cu = fsq_quantize(self.upper_encoder(upper), self.cfg.levels)
         ql, cl = fsq_quantize(self.lower_encoder(lower), self.cfg.levels)
+        return (qu, ql), (cu, cl)
+
+    def _render(self, qu: Tensor, ql: Tensor) -> Tensor:
+        """Quantized levels of both branches -> merged frames."""
         upper_hat = self.upper_decoder(normalize_levels(qu, self.cfg.levels))
         lower_hat = self.lower_decoder(normalize_levels(ql, self.cfg.levels))
-        frames_hat = MO.merge_body(upper_hat, lower_hat, self.split)
-        return frames_hat, cu, cl
+        return MO.merge_body(upper_hat, lower_hat, self.split)
+
+    def reconstruct(self, frames: Tensor):
+        """Full differentiable pass; returns (frames_hat, upper codes, lower codes)."""
+        (qu, ql), (cu, cl) = self._quantize(frames)
+        return self._render(qu, ql), cu, cl
 
     def encode(self, frames: np.ndarray) -> "LatentCodeSequence":
         with T.no_grad():
-            upper, lower = MO.split_body(Tensor(frames), self.split)
-            _, cu = fsq_quantize(self.upper_encoder(upper), self.cfg.levels)
-            _, cl = fsq_quantize(self.lower_encoder(lower), self.cfg.levels)
+            _, (cu, cl) = self._quantize(Tensor(frames))
         return LatentCodeSequence(
             upper=levels_to_index(cu, self.cfg.levels),
             lower=levels_to_index(cl, self.cfg.levels),
@@ -320,13 +311,10 @@ class CodecModel(Module):
             raise ConfigError(
                 f"codes use a {codes.codebook_size}-cell grid, codec has {self.cfg.codebook_size}"
             )
+        qu, ql = (Tensor(index_to_levels(c, self.cfg.levels).astype(np.float64))
+                  for c in (codes.upper, codes.lower))
         with T.no_grad():
-            qu = Tensor(index_to_levels(codes.upper, self.cfg.levels).astype(np.float64))
-            ql = Tensor(index_to_levels(codes.lower, self.cfg.levels).astype(np.float64))
-            upper_hat = self.upper_decoder(normalize_levels(qu, self.cfg.levels))
-            lower_hat = self.lower_decoder(normalize_levels(ql, self.cfg.levels))
-            frames = MO.merge_body(upper_hat, lower_hat, self.split)
-        return frames.data
+            return self._render(qu, ql).data
 
 
 # ---------------------------------------------------------------------------

@@ -101,10 +101,25 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _section_from_dict(name: str, cls, raw: dict):
-    unknown = set(raw) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} in section {name!r}")
+# The JSON values each declared field type accepts. ``type(v) is int``
+# keeps out booleans, which Python counts as ints and JSON does not.
+_VALUE_CHECKS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "tuple": ("a list of integers", lambda v: type(v) is list and all(type(i) is int for i in v)),
+}
+
+
+def _section_from_dict(name: str, cls, raw):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r} in section {name!r}")
+        expected, ok = _VALUE_CHECKS[types[key]]
+        if not ok(value):
+            raise ConfigError(f"config value {name}.{key} must be {expected}, got {value!r}")
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
 

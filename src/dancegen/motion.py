@@ -64,6 +64,14 @@ DEFAULT_OFFSETS = np.array([
     [-0.08, 0.00, 0.00],   # r_hand
 ])
 
+# Frame layout: columns 0-2 hold the root translation, JOINT_COLS[j] the six
+# 6D columns of joint j. The rest frame has zero translation and the identity
+# rotation (1,0,0,0,1,0) at every joint.
+JOINT_COLS = 3 + 6 * np.arange(JOINT_COUNT)[:, None] + np.arange(6)
+JOINT_COLS.flags.writeable = False
+REST_FRAME = np.concatenate([np.zeros(3), np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], JOINT_COUNT)])
+REST_FRAME.flags.writeable = False
+
 # Body-part routing for the two-branch codec. The lower set carries the
 # root translation as well, so widths are 3 + 9*6 = 57 and 15*6 = 90.
 LOWER_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
@@ -102,7 +110,12 @@ class Skeleton:
 
 @dataclass
 class BodyPartSplit:
-    """Disjoint lower/upper joint sets covering the whole skeleton."""
+    """Disjoint lower/upper joint sets covering the whole skeleton.
+
+    ``upper_cols``/``lower_cols`` are each part's frame columns, joint by
+    joint in set order, with the root translation first in the lower part;
+    ``merge_order`` gathers [upper | lower] columns back into frame order.
+    """
 
     lower: tuple
     upper: tuple
@@ -116,6 +129,9 @@ class BodyPartSplit:
         covered = sorted(self.lower + self.upper)
         if covered != list(range(JOINT_COUNT)):
             raise ContractError("body-part sets must partition all 24 joints")
+        self.upper_cols = JOINT_COLS[list(self.upper)].reshape(-1)
+        self.lower_cols = np.concatenate([np.arange(3), JOINT_COLS[list(self.lower)].reshape(-1)])
+        self.merge_order = np.argsort(np.concatenate([self.upper_cols, self.lower_cols]))
 
     @classmethod
     def default(cls) -> "BodyPartSplit":
@@ -123,11 +139,11 @@ class BodyPartSplit:
 
     @property
     def lower_width(self) -> int:
-        return 3 + 6 * len(self.lower)
+        return self.lower_cols.size
 
     @property
     def upper_width(self) -> int:
-        return 6 * len(self.upper)
+        return self.upper_cols.size
 
 
 class MotionSequence:
@@ -186,15 +202,9 @@ def rot6d_to_matrix(r):
 
 
 def _cross(u: Tensor, v: Tensor) -> Tensor:
-    ax = u.ndim - 1
-
-    def comp(x, i):
-        return T.narrow(x, ax, i, 1)
-
-    cx = comp(u, 1) * comp(v, 2) - comp(u, 2) * comp(v, 1)
-    cy = comp(u, 2) * comp(v, 0) - comp(u, 0) * comp(v, 2)
-    cz = comp(u, 0) * comp(v, 1) - comp(u, 1) * comp(v, 0)
-    return T.concat([cx, cy, cz], axis=ax)
+    """u x v over the last axis, as u_yzx * v_zxy - u_zxy * v_yzx."""
+    yzx, zxy = (1, 2, 0), (2, 0, 1)
+    return T.gather_last(u, yzx) * T.gather_last(v, zxy) - T.gather_last(u, zxy) * T.gather_last(v, yzx)
 
 
 def forward_kinematics(frames, skeleton: Skeleton | None = None):
@@ -238,58 +248,33 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
     return positions.data if plain else positions
 
 
-def _part_selector(joints: tuple, with_translation: bool) -> np.ndarray:
-    cols = list(range(3)) if with_translation else []
-    for j in joints:
-        cols.extend(range(3 + 6 * j, 3 + 6 * j + 6))
-    sel = np.zeros((FRAME_WIDTH, len(cols)))
-    sel[cols, np.arange(len(cols))] = 1.0
-    return sel
-
-
-_SPLIT_CACHE: dict = {}
-
-
-def _selectors(split: BodyPartSplit):
-    key = (split.lower, split.upper)
-    if key not in _SPLIT_CACHE:
-        _SPLIT_CACHE[key] = (
-            _part_selector(split.upper, with_translation=False),
-            _part_selector(split.lower, with_translation=True),
-        )
-    return _SPLIT_CACHE[key]
-
-
 def split_body(frames, split: BodyPartSplit | None = None):
     """Split [..., 147] frames into (upper [..., 90], lower [..., 57]).
 
-    The lower part carries the root translation. Column selection is a
-    0/1 matrix product, so it is exact and differentiates cleanly.
+    Each part is a column gather (``BodyPartSplit.upper_cols`` /
+    ``lower_cols``), so it is exact and differentiates cleanly; the lower
+    part carries the root translation.
     """
-    if split is None:
-        split = BodyPartSplit.default()
+    split = split or BodyPartSplit.default()
     x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"split_body expects trailing width {FRAME_WIDTH}, got {x.shape}")
-    upper_sel, lower_sel = _selectors(split)
-    upper = x @ Tensor(upper_sel)
-    lower = x @ Tensor(lower_sel)
+    upper = T.gather_last(x, split.upper_cols)
+    lower = T.gather_last(x, split.lower_cols)
     return (upper.data, lower.data) if plain else (upper, lower)
 
 
 def merge_body(upper, lower, split: BodyPartSplit | None = None):
-    """Inverse of split_body; bit-exact because columns merely scatter back."""
-    if split is None:
-        split = BodyPartSplit.default()
+    """Inverse of split_body; bit-exact because columns merely move back."""
+    split = split or BodyPartSplit.default()
     u, plain_u = T.wrap(upper)
     l, plain_l = T.wrap(lower)
-    upper_sel, lower_sel = _selectors(split)
-    if u.shape[-1] != upper_sel.shape[1] or l.shape[-1] != lower_sel.shape[1]:
+    if u.shape[-1] != split.upper_width or l.shape[-1] != split.lower_width:
         raise ShapeError(
-            f"merge_body widths must be ({upper_sel.shape[1]}, {lower_sel.shape[1]}), "
+            f"merge_body widths must be ({split.upper_width}, {split.lower_width}), "
             f"got ({u.shape[-1]}, {l.shape[-1]})"
         )
-    merged = u @ Tensor(upper_sel.T) + l @ Tensor(lower_sel.T)
+    merged = T.gather_last(T.concat([u, l], axis=-1), split.merge_order)
     return merged.data if (plain_u and plain_l) else merged
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from . import textfile as TF
-from .motion import FPS, FRAME_WIDTH, JOINT_COUNT, MotionSequence
+from .motion import FPS, FRAME_WIDTH, JOINT_COLS, JOINT_COUNT, REST_FRAME, MotionSequence
 
 MUSIC_WIDTH = 35
 MFCC_DIM = 20
@@ -186,9 +186,7 @@ def synthesize_pair(cfg: SyntheticPairConfig, genre_id: int):
         chan = sum(a * np.sin(2 * np.pi * f * t / FPS + p) for f, p, a in zip(freqs, phases, amps))
         music[:, c] = chan
 
-    frames = np.zeros((t_len, FRAME_WIDTH))
-    identity = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-    frames[:, 3:] = np.tile(identity, JOINT_COUNT)
+    frames = np.tile(REST_FRAME, (t_len, 1))
 
     # Root sway: beat-locked so it never shifts speed minima off the beat.
     sway = rng.uniform(0.03, 0.08, size=3)
@@ -199,7 +197,7 @@ def synthesize_pair(cfg: SyntheticPairConfig, genre_id: int):
     for joint, axis, harmonic, amp in _genre_motif(genre_id):
         wobble = rng.uniform(0.9, 1.1)  # per-seed texture, keeps pairs distinct
         angles = amp * wobble * np.cos(harmonic * np.pi * t / period)
-        frames[:, 3 + 6 * joint:9 + 6 * joint] = _axis_angle_to_6d(axis, angles)
+        frames[:, JOINT_COLS[joint]] = _axis_angle_to_6d(axis, angles)
 
     return MusicFeatureSequence(music, genre_id), MotionSequence(frames)
 

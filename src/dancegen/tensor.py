@@ -384,18 +384,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        outs = []
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            outs.append(g[tuple(idx)])
-        return tuple(outs)
-
-    return _node(data, parts, vjp)
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return _node(data, parts, lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -448,10 +438,29 @@ def take_along_last(a: Tensor, ids: np.ndarray) -> Tensor:
     return _node(data, (a,), vjp)
 
 
+def gather_last(a: Tensor, idx) -> Tensor:
+    """Columns ``a[..., idx]``. The indices must be distinct, so the
+    gradient is a plain scatter with no index receiving two contributions."""
+    idx = np.asarray(idx, dtype=np.intp)
+    width = a.data.shape[-1]
+    in_range = idx.size == 0 or (idx.min() >= 0 and idx.max() < width)
+    if idx.ndim != 1 or not in_range or np.unique(idx).size != idx.size:
+        raise ContractError(f"gather_last needs distinct indices in [0, {width}), got {idx.tolist()}")
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        ga[..., idx] = g
+        return (ga,)
+
+    return _node(a.data[..., idx], (a,), vjp)
+
+
 # ---------------------------------------------------------------------------
 # Convolutions. Layout: activations [..., time, channels], weights
 # [kernel, in_channels, out_channels]. Same-style padding keeps
-# out_len = ceil(in_len / stride); the transposed op restores in_len exactly.
+# out_len = ceil(in_len / stride); the transposed op is the adjoint of the
+# same-padded conv that maps in_len * stride rows to in_len, so it returns
+# exactly in_len * stride rows.
 
 
 def _same_pad(t_in: int, kernel: int, stride: int):
@@ -460,86 +469,61 @@ def _same_pad(t_in: int, kernel: int, stride: int):
     return t_out, total // 2, total - total // 2
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
+def _windows(a: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """im2col of the same-padded conv: [..., t, C] -> [..., ceil(t/stride), kernel*C]."""
+    t_out, pad_l, pad_r = _same_pad(a.shape[-2], kernel, stride)
+    ap = np.pad(a, [(0, 0)] * (a.ndim - 2) + [(pad_l, pad_r), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(ap, kernel, axis=-2)[..., ::stride, :, :]
+    return np.swapaxes(win, -1, -2).reshape(a.shape[:-2] + (t_out, kernel * a.shape[-1]))
+
+
+def _overlap_add(cols: np.ndarray, t: int, kernel: int, stride: int) -> np.ndarray:
+    """Adjoint of ``_windows``: [..., ceil(t/stride), kernel*C] -> [..., t, C]."""
+    t_out, pad_l, pad_r = _same_pad(t, kernel, stride)
+    cols = cols.reshape(cols.shape[:-1] + (kernel, -1))
+    out = np.zeros(cols.shape[:-3] + (t + pad_l + pad_r, cols.shape[-1]))
+    span = stride * (t_out - 1) + 1
+    for k in range(kernel):
+        out[..., k:k + span:stride, :] += cols[..., k, :]
+    return out[..., pad_l:pad_l + t, :]
+
+
+def _conv_shapes(op: str, x: Tensor, w: Tensor, stride: int):
     if stride < 1:
-        raise ContractError(f"conv1d stride must be >= 1, got {stride}")
+        raise ContractError(f"{op} stride must be >= 1, got {stride}")
     if x.ndim < 2 or w.ndim != 3:
-        raise ShapeError(f"conv1d expects x [..., T, Cin] and w [K, Cin, Cout], got {x.shape}, {w.shape}")
+        raise ShapeError(f"{op} expects x [..., T, Cin] and w [K, Cin, Cout], got {x.shape}, {w.shape}")
     kernel, c_in, c_out = w.shape
     if x.shape[-1] != c_in:
-        raise ShapeError(f"conv1d channels mismatch: x has {x.shape[-1]}, w expects {c_in}")
-    t_in = x.shape[-2]
-    t_out, pad_l, pad_r = _same_pad(t_in, kernel, stride)
+        raise ShapeError(f"{op} channels mismatch: x has {x.shape[-1]}, w expects {c_in}")
+    return kernel, c_in, c_out
 
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pad_l, pad_r), (0, 0)]
-    xp = np.pad(x.data, pad_spec)
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=-2)
-    win = win[..., ::stride, :, :]  # [..., t_out, Cin, K]
-    cols = np.swapaxes(win, -1, -2).reshape(x.shape[:-2] + (t_out, kernel * c_in))
+
+def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
+    kernel, c_in, c_out = _conv_shapes("conv1d", x, w, stride)
+    cols = _windows(x.data, kernel, stride)
     w2 = w.data.reshape(kernel * c_in, c_out)
-    data = cols @ w2
-    if b is not None:
-        data = data + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gcols = (g @ w2.T).reshape(x.shape[:-2] + (t_out, kernel, c_in))
-        gxp = np.zeros_like(xp)
-        starts = stride * np.arange(t_out)
-        for k in range(kernel):
-            gxp[..., starts + k, :] += gcols[..., :, k, :]
-        gx = gxp[..., pad_l:pad_l + t_in, :]
+        gx = _overlap_add(g @ w2.T, x.shape[-2], kernel, stride)
         gw = (cols.reshape(-1, kernel * c_in).T @ g.reshape(-1, c_out)).reshape(w.shape)
-        if b is None:
-            return gx, gw
-        gb = g.reshape(-1, c_out).sum(axis=0)
-        return gx, gw, gb
+        return gx, gw
 
-    return _node(data, parents, vjp)
+    out = _node(cols @ w2, (x, w), vjp)
+    return out if b is None else add(out, b)
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
-    if stride < 1:
-        raise ContractError(f"conv1d_transpose stride must be >= 1, got {stride}")
-    if x.ndim < 2 or w.ndim != 3:
-        raise ShapeError(
-            f"conv1d_transpose expects x [..., T, Cin] and w [K, Cin, Cout], got {x.shape}, {w.shape}"
-        )
-    kernel, c_in, c_out = w.shape
-    if x.shape[-1] != c_in:
-        raise ShapeError(f"conv1d_transpose channels mismatch: x has {x.shape[-1]}, w expects {c_in}")
-    t_in = x.shape[-2]
-    t_out = t_in * stride
-    # Mirror the geometry of the same-padded conv that maps t_out -> t_in.
-    _, pad_l, _ = _same_pad(t_out, kernel, stride)
-
-    full_len = (t_in - 1) * stride + kernel
-    full = np.zeros(x.shape[:-2] + (full_len, c_out))
-    starts = stride * np.arange(t_in)
-    for k in range(kernel):
-        full[..., starts + k, :] += x.data @ w.data[k]
-    data = full[..., pad_l:pad_l + t_out, :]
-    if b is not None:
-        data = data + b.data
-
-    parents = (x, w) if b is None else (x, w, b)
+    kernel, c_in, c_out = _conv_shapes("conv1d_transpose", x, w, stride)
+    wt = np.swapaxes(w.data, 0, 1).reshape(c_in, kernel * c_out)
 
     def vjp(g):
-        gfull = np.zeros(x.shape[:-2] + (full_len, c_out))
-        gfull[..., pad_l:pad_l + t_out, :] = g
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        for k in range(kernel):
-            gk = gfull[..., starts + k, :]
-            gx += gk @ w.data[k].T
-            gw[k] = x.data.reshape(-1, c_in).T @ gk.reshape(-1, c_out)
-        if b is None:
-            return gx, gw
-        gb = g.reshape(-1, c_out).sum(axis=0)
-        return gx, gw, gb
+        gcols = _windows(g, kernel, stride)
+        gw = x.data.reshape(-1, c_in).T @ gcols.reshape(-1, kernel * c_out)
+        return gcols @ wt.T, np.swapaxes(gw.reshape(c_in, kernel, c_out), 0, 1)
 
-    return _node(data, parents, vjp)
+    out = _node(_overlap_add(x.data @ wt, x.shape[-2] * stride, kernel, stride), (x, w), vjp)
+    return out if b is None else add(out, b)
 
 
 # ---------------------------------------------------------------------------

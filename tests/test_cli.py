@@ -104,6 +104,20 @@ def test_malformed_manifest_is_validation_error(tmp_path, capsys, text):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [
+    "clip_0000", {"motion": "m.txt", "genre_id": 0}, {"music": 3, "motion": "m.txt", "genre_id": 0},
+    {"music": "a.txt", "motion": "m.txt"}, {"music": "a.txt", "motion": "m.txt", "genre_id": "0"},
+    {"music": "a.txt", "motion": "m.txt", "genre_id": True},
+])
+def test_malformed_manifest_entry_is_validation_error(tmp_path, capsys, entry):
+    data = tmp_path / "d"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps({"version": 1, "clips": [entry]}))
+    assert main(["train-hfdq", "--data", str(data),
+                 "--out-ckpt", str(tmp_path / "c.json")]) == 2
+    assert "clip entry 0" in capsys.readouterr().err
+
+
 def test_train_gadg_missing_codec_is_dependency_error(env, tmp_path, capsys):
     code = main(["train-gadg", "--config", str(env["cfg"]), "--data", str(env["data"]),
                  "--hfdq-ckpt", str(tmp_path / "nope.json"),

@@ -151,3 +151,26 @@ def test_overrides_reach_the_stage_configs():
     g = cfg.gadg_config()
     assert (g.dropout, g.max_positions, g.codebook_size) == (0.1, 64, 9)
     assert cfg.generator_train_config() == GeneratorTrainConfig(lr=0.02, batch_size=3, seed=5)
+
+
+@pytest.mark.parametrize("section, value", [("hfdq", 5), ("gadg", [1]), ("metrics", None)])
+def test_non_object_section_rejected_by_name(section, value):
+    with pytest.raises(ConfigError, match=rf"section '{section}' must be a JSON object"):
+        config_from_dict({section: value})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hfdq", "steps", True), ("hfdq", "steps", "ten"), ("hfdq", "steps", 10.0),
+    ("data", "seed", [1]), ("gadg", "dropout", "0.1"), ("gadg", "dropout", False),
+    ("metrics", "bas_sigma", None), ("hfdq", "levels", 7), ("hfdq", "levels", [3, 3.0]),
+    ("hfdq", "levels", [True, 3]), ("hfdq", "levels", "75555"),
+])
+def test_mistyped_value_rejected_by_name(section, key, value):
+    with pytest.raises(ConfigError, match=rf"config value {section}\.{key} must be"):
+        config_from_dict({section: {key: value}})
+
+
+def test_float_fields_take_integers():
+    cfg = config_from_dict({"hfdq": {"lr": 1, "velocity_weight": 0.25},
+                            "metrics": {"bas_sigma": 2}})
+    assert (cfg.hfdq.lr, cfg.hfdq.velocity_weight, cfg.metrics.bas_sigma) == (1, 0.25, 2)

@@ -245,6 +245,29 @@ def test_split_merge_roundtrip_bit_exact(seed, t_len):
     assert np.array_equal(merged, frames)
 
 
+CUSTOM_LOWER = (5, 0, 23, 11)
+CUSTOM_SPLIT = M.BodyPartSplit(CUSTOM_LOWER, tuple(j for j in range(24) if j not in CUSTOM_LOWER))
+
+
+def _explicit_cols(joints):
+    return [c for j in joints for c in range(3 + 6 * j, 9 + 6 * j)]
+
+
+@pytest.mark.parametrize("split", [M.BodyPartSplit.default(), CUSTOM_SPLIT])
+def test_split_columns_are_joint_slices(split):
+    frames = np.random.default_rng(2).standard_normal((4, M.FRAME_WIDTH))
+    upper, lower = M.split_body(frames, split)
+    np.testing.assert_array_equal(upper, frames[:, _explicit_cols(split.upper)])
+    np.testing.assert_array_equal(lower, frames[:, [0, 1, 2] + _explicit_cols(split.lower)])
+    assert (split.upper_width, split.lower_width) == (upper.shape[1], lower.shape[1])
+
+
+def test_custom_split_merge_roundtrip_bit_exact():
+    frames = np.random.default_rng(3).standard_normal((2, 6, M.FRAME_WIDTH))
+    merged = M.merge_body(*M.split_body(frames, CUSTOM_SPLIT), CUSTOM_SPLIT)
+    assert np.array_equal(merged, frames)
+
+
 def test_split_overlap_rejected():
     with pytest.raises(ContractError):
         M.BodyPartSplit(lower=(0, 1), upper=tuple(range(1, 24)))

@@ -180,6 +180,21 @@ def test_embedding_and_gather_gradients(seed):
     check_gradients(lambda xs: T.take_along_last(xs[0], targets), [logits])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gather_last_gradients(seed):
+    rng = np.random.default_rng(seed)
+    x = rand(rng, 3, 2, 7)
+    idx = rng.permutation(7)[:5]
+    check_gradients(lambda xs: T.gather_last(xs[0], idx), [x])
+
+
+def test_gather_last_rejects_bad_indices():
+    x = Tensor(np.zeros((2, 4)))
+    for idx in ([1, 2, 1], [0, 4], [-1], [[0, 1]]):
+        with pytest.raises(ContractError):
+            T.gather_last(x, idx)
+
+
 def test_embedding_range_check():
     with pytest.raises(ShapeError):
         T.embedding(Tensor(np.zeros((3, 2))), np.array([0, 3]))
@@ -222,7 +237,7 @@ def test_conv1d_output_lengths():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kernel,stride", [(4, 2), (3, 1)])
+@pytest.mark.parametrize("kernel,stride", [(4, 2), (3, 1), (2, 3)])
 def test_conv1d_transpose_gradients(seed, kernel, stride):
     rng = np.random.default_rng(seed)
     x = rand(rng, 6, 3)
@@ -238,6 +253,28 @@ def test_conv1d_transpose_restores_length():
     for expected in (60, 120, 240):
         x = T.conv1d_transpose(x, w, None, stride=2)
         assert x.shape == (expected, 2)
+
+
+KERNEL_STRIDES = [(1, 2), (2, 3), (1, 3), (4, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("kernel,stride", KERNEL_STRIDES)
+def test_conv1d_transpose_length_is_in_len_times_stride(kernel, stride):
+    w = Tensor(np.ones((kernel, 3, 2)))
+    for t_in in (1, 4, 5):
+        out = T.conv1d_transpose(Tensor(np.ones((t_in, 3))), w, None, stride)
+        assert out.shape == (t_in * stride, 2)
+
+
+@pytest.mark.parametrize("kernel,stride", KERNEL_STRIDES)
+def test_conv1d_transpose_is_adjoint_of_conv1d(kernel, stride):
+    rng = np.random.default_rng(kernel * 10 + stride)
+    x = rand(rng, 2, 5 * stride, 4)  # conv1d maps 5*stride rows to 5
+    y = rand(rng, 2, 5, 3)
+    w = rand(rng, kernel, 3, 4)
+    lhs = np.vdot(T.conv1d(Tensor(x), Tensor(np.swapaxes(w, 1, 2)), None, stride).data, y)
+    rhs = np.vdot(x, T.conv1d_transpose(Tensor(y), Tensor(w), None, stride).data)
+    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 def test_conv_channel_mismatch():
