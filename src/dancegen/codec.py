@@ -23,7 +23,7 @@ from . import textfile as TF
 from .checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .errors import ConfigError, FormatError, InputError, OutOfRangeError, ShapeError
 from .motion import BodyPartSplit, Skeleton
-from .nn import Adam, Linear, Module, Rng, fan_in_uniform
+from .nn import Adam, Linear, Module, Rng, check_training_ranges, fan_in_uniform
 from .tensor import Parameter, Tensor
 
 KERNEL_SIZE = 4
@@ -79,6 +79,11 @@ class CodecTrainConfig:
     # Extra unstructured clips mixed into training to widen the code
     # distribution; drawn deterministically from the seed.
     noise_clips: int = 0
+
+    def __post_init__(self):
+        check_training_ranges(self)
+        if self.noise_clips < 0:
+            raise ConfigError(f"noise_clips must be >= 0, got {self.noise_clips}")
 
 
 # ---------------------------------------------------------------------------

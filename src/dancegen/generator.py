@@ -33,7 +33,7 @@ from .errors import (
     RoutingError,
     ShapeError,
 )
-from .nn import Adam, Dropout, Linear, Module, Rng
+from .nn import Adam, Dropout, Linear, Module, Rng, check_training_ranges
 from .tensor import Parameter, Tensor
 
 
@@ -89,6 +89,9 @@ class GeneratorTrainConfig:
     betas: tuple = (0.9, 0.99)
     seed: int = 0
 
+    def __post_init__(self):
+        check_training_ranges(self)
+
 
 # ---------------------------------------------------------------------------
 # Sliding-window attention mask
@@ -140,13 +143,12 @@ def mamba_discretize(a, b, dt):
     return abar, bbar
 
 
-def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, parallel: bool = False):
+def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None):
     """y_t = c_t . h_t with h_t = abar_t h_{t-1} + bbar_t x_t, h_{-1} = 0.
 
     Shapes: x [T, D], a_diag [D, N], b_seq [T, N], c_seq [T, N], dt [T, D].
-    The sequential recurrence is the reference; ``parallel`` switches to an
-    associative doubling evaluation (forward only, no tape) that must agree
-    to 1e-10.
+    Training, teacher forcing and generation all run the one sequential
+    ``T.linear_recurrence``; under ``no_grad`` it simply records no tape.
     """
     x, _ = T.wrap(x)
     a_diag, _ = T.wrap(a_diag)
@@ -161,10 +163,7 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, parallel: bool = Fals
         dt.reshape((t_len, d_inner, 1)),
     )
     drive = bbar * x.reshape((t_len, d_inner, 1))
-    if parallel:
-        h = Tensor(T.parallel_linear_recurrence(abar.data, drive.data))
-    else:
-        h = T.linear_recurrence(abar, drive)
+    h = T.linear_recurrence(abar, drive)
     y = T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
     if skip is not None:
         skip, _ = T.wrap(skip)
@@ -224,10 +223,7 @@ class MambaBlock(Module):
         b_seq = T.narrow(proj, 1, self.cfg.dt_rank, n)
         c_seq = T.narrow(proj, 1, self.cfg.dt_rank + n, n)
         dt = T.softplus(self.dt_proj(dt_in)) + 1e-9
-        y = selective_scan(
-            xi, -T.exp(self.a_log), b_seq, c_seq, dt,
-            skip=self.skip, parallel=not T.grad_enabled(),
-        )
+        y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, skip=self.skip)
         return self.out_proj(y * T.silu(gate))
 
 

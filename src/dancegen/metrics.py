@@ -117,26 +117,22 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def frechet_distance(a: GaussianStats, b: GaussianStats, shrinkage: float = 0.0) -> float:
+def frechet_distance(a: GaussianStats, b: GaussianStats) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)).
 
     The cross term uses Tr sqrt(S_a S_b) = sum sqrt(eig(R S_a R)) with
     R = S_b^(1/2), a symmetric PSD reformulation of the product, so only
     symmetric eigendecompositions are involved; negative eigenvalues from
-    roundoff are clamped to zero. ``shrinkage`` optionally adds lambda*I to
-    both covariances for ill-conditioned fits; the default keeps small
-    closed-form cases exact.
+    roundoff are clamped to zero.
     """
     if a.dim != b.dim:
         raise ShapeError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    cov_a = a.cov + shrinkage * np.eye(a.dim)
-    cov_b = b.cov + shrinkage * np.eye(b.dim)
-    root_b = _psd_sqrt(cov_b)
-    inner = root_b @ cov_a @ root_b
+    root_b = _psd_sqrt(b.cov)
+    inner = root_b @ a.cov @ root_b
     inner = 0.5 * (inner + inner.T)
     cross = np.sqrt(np.clip(np.linalg.eigvalsh(inner), 0.0, None)).sum()
     diff = a.mean - b.mean
-    return float(diff @ diff + np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
+    return float(diff @ diff + np.trace(a.cov) + np.trace(b.cov) - 2.0 * cross)
 
 
 def diversity(features: np.ndarray) -> float:
@@ -156,8 +152,10 @@ def beat_align_score(music_beats, kinematic_beats, sigma: float = BAS_SIGMA) -> 
     kinematic beat: (1/|B_m|) sum exp(-min_k (t_m - t_k)^2 / (2 sigma^2)).
 
     An empty kinematic set scores 0.0 (no dance hits at all); empty music
-    beats are an error since the mean is undefined.
+    beats (undefined mean) and a sigma not finite and > 0 are errors.
     """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InputError(f"beat alignment sigma must be finite and > 0, got {sigma}")
     music_beats = np.asarray(music_beats, dtype=np.float64).reshape(-1)
     kinematic_beats = np.asarray(kinematic_beats, dtype=np.float64).reshape(-1)
     if music_beats.size == 0:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .tensor import Parameter, Tensor
 
 
@@ -140,6 +140,15 @@ class Dropout(Module):
         keep = 1.0 - self.p
         mask = (self._gen.random(x.shape) < keep) / keep
         return x * Tensor(mask)
+
+
+def check_training_ranges(cfg) -> None:
+    """Reject steps or batch_size below 1 and an lr that is not finite and > 0."""
+    for name in ("steps", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not (np.isfinite(cfg.lr) and cfg.lr > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
 
 
 class Adam:

@@ -17,11 +17,6 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 _GRAD_ENABLED = True
 
 
-def grad_enabled() -> bool:
-    """True while tape construction is globally active."""
-    return _GRAD_ENABLED
-
-
 class no_grad:
     """Context manager that disables tape construction inside its block."""
 
@@ -68,9 +63,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def backward(self):
         backward(self)
@@ -284,11 +276,6 @@ def abs_(a: Tensor) -> Tensor:
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), composed from primitives."""
     return mul(a, sigmoid(a))
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Forward the value, block the gradient."""
-    return Tensor(a.data)
 
 
 def expm1_over(a: Tensor) -> Tensor:
@@ -530,38 +517,41 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) ->
 # Linear recurrence (diagonal state-space scan)
 
 
+def _recurrence_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h_t = a_t * h_{t-1} + b_t along axis 0 from h_{-1} = 0, in numpy."""
+    h = np.empty(b.shape)
+    prev = np.zeros(b.shape[1:])
+    for t in range(b.shape[0]):
+        prev = a[t] * prev + b[t]
+        h[t] = prev
+    return h
+
+
 def linear_recurrence(decay: Tensor, drive: Tensor) -> Tensor:
     """States of h_t = decay_t * h_{t-1} + drive_t along axis 0, h_{-1} = 0.
 
-    Elementwise over trailing axes. The forward loop is the reference
-    evaluation; ``parallel_linear_recurrence`` is the fast equivalent.
+    Elementwise over trailing axes: the recurrent mode of a diagonal scan.
+    The adjoint is the same loop backwards in time, lam_t = g_t +
+    decay_{t+1} lam_{t+1}, with gdrive = lam and gdecay = lam * h_{t-1}.
     """
     if decay.shape != drive.shape:
         raise ShapeError(f"recurrence shapes differ: {decay.shape} vs {drive.shape}")
     if decay.ndim < 1 or decay.shape[0] < 1:
         raise ShapeError("recurrence needs a nonempty leading time axis")
-    steps = decay.shape[0]
-    h = np.empty_like(drive.data)
-    prev = np.zeros(drive.data.shape[1:])
-    for t in range(steps):
-        prev = decay.data[t] * prev + drive.data[t]
-        h[t] = prev
+    h = _recurrence_loop(decay.data, drive.data)
+    zero_row = np.zeros((1,) + h.shape[1:])
 
     def vjp(g):
-        gdecay = np.empty_like(decay.data)
-        gdrive = np.empty_like(drive.data)
-        lam = np.zeros(drive.data.shape[1:])
-        for t in range(steps - 1, -1, -1):
-            lam = g[t] + (decay.data[t + 1] * lam if t + 1 < steps else 0.0)
-            gdrive[t] = lam
-            gdecay[t] = lam * (h[t - 1] if t > 0 else 0.0)
-        return gdecay, gdrive
+        decay_next = np.concatenate([decay.data[1:], zero_row])
+        lam = _recurrence_loop(decay_next[::-1], g[::-1])[::-1]
+        return lam * np.concatenate([zero_row, h[:-1]]), lam
 
     return _node(h, (decay, drive), vjp)
 
 
 def parallel_linear_recurrence(decay: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Blocked evaluation of the same recurrence via associative doubling.
+    """The same recurrence by associative doubling: the oracle the tests hold
+    ``linear_recurrence`` to, not a fast path (it is slower at every length).
 
     Pairs (a, b) represent affine maps h -> a*h + b; composing prefixes in
     log2(T) sweeps yields all states. Matches the sequential loop to

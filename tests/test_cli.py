@@ -118,6 +118,30 @@ def test_malformed_manifest_entry_is_validation_error(tmp_path, capsys, entry):
     assert "clip entry 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage, override, field", [
+    ("hfdq", {"steps": 0}, "steps"),
+    ("gadg", {"steps": 0}, "steps"),
+    ("hfdq", {"steps": 1, "batch_size": 0}, "batch_size"),
+    ("gadg", {"batch_size": 0}, "batch_size"),
+    ("hfdq", {"lr": 0}, "lr"),
+    ("gadg", {"lr": -3e-4}, "lr"),
+    ("hfdq", {"lr": float("nan")}, "lr"),
+    ("hfdq", {"noise_clips": -1}, "noise_clips"),
+])
+def test_train_rejects_out_of_range_config(env, tmp_path, capsys, stage, override, field):
+    cfg = tmp_path / "range.json"
+    cfg.write_text(json.dumps(dict(TINY, **{stage: dict(TINY[stage], **override)})))
+    ckpt = tmp_path / "out.ckpt.json"
+    argv = ["--config", str(cfg), "--data", str(env["data"]), "--out-ckpt", str(ckpt)]
+    if stage == "hfdq":
+        argv = ["train-hfdq"] + argv
+    else:
+        argv = ["train-gadg", "--hfdq-ckpt", str(env["codec"])] + argv
+    assert main(argv) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_train_gadg_missing_codec_is_dependency_error(env, tmp_path, capsys):
     code = main(["train-gadg", "--config", str(env["cfg"]), "--data", str(env["data"]),
                  "--hfdq-ckpt", str(tmp_path / "nope.json"),
@@ -247,6 +271,18 @@ def test_evaluate_needs_music_siblings(env, tmp_path):
                  "--generated-dir", str(gen_dir),
                  "--reference-dir", str(env["data"]),
                  "--out-report", str(tmp_path / "r.txt")]) == 2
+
+
+def test_evaluate_rejects_zero_bas_sigma(env, tmp_path, capsys):
+    cfg = tmp_path / "sigma.json"
+    cfg.write_text(json.dumps(dict(TINY, metrics={"bas_sigma": 0})))
+    report_path = tmp_path / "report.txt"
+    assert main(["evaluate", "--config", str(cfg),
+                 "--generated-dir", str(env["data"]),
+                 "--reference-dir", str(env["data"]),
+                 "--out-report", str(report_path)]) == 2
+    assert "sigma must be finite and > 0" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_evaluate_needs_two_sequences(env, tmp_path):

@@ -199,11 +199,6 @@ def test_frechet_dimension_mismatch():
         frechet_distance(g1(0, 1), GaussianStats(np.zeros(2), np.eye(2)))
 
 
-def test_frechet_shrinkage_keeps_identity_at_zero():
-    stats = GaussianStats(np.zeros(3), np.eye(3) * 0.5)
-    assert abs(frechet_distance(stats, stats, shrinkage=1e-6)) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # Diversity
 
