@@ -18,6 +18,7 @@ from .config import CONFIG_ENV_VAR, PipelineConfig, load_config
 from .generator import (
     GadgConfig,
     GadgModel,
+    GenerationState,
     GeneratorTrainConfig,
     generate,
     load_generator,
@@ -44,7 +45,7 @@ __all__ = [
     "CodecModel", "CodecTrainConfig", "FsqConfig", "LatentCodeSequence",
     "LossConfig", "load_codec", "save_codec", "train_codec",
     "CONFIG_ENV_VAR", "PipelineConfig", "load_config",
-    "GadgConfig", "GadgModel", "GeneratorTrainConfig", "generate",
+    "GadgConfig", "GadgModel", "GenerationState", "GeneratorTrainConfig", "generate",
     "load_generator", "save_generator", "train_generator",
     "GaussianStats", "beat_align_score", "diversity", "extract_features",
     "frechet_distance",

@@ -43,8 +43,8 @@ class FsqConfig:
 
     def __post_init__(self):
         self.levels = tuple(int(v) for v in self.levels)
-        if any(v < 2 for v in self.levels):
-            raise ConfigError(f"every quantizer level count must be >= 2, got {self.levels}")
+        if not self.levels or any(v < 2 for v in self.levels):
+            raise ConfigError(f"levels must be a nonempty list of counts >= 2, got {list(self.levels)}")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be positive, got {self.feature_dim}")
 
@@ -67,6 +67,12 @@ class LossConfig:
 
     velocity_weight: float = 0.5
     accel_weight: float = 0.25
+
+    def __post_init__(self):
+        for name in ("velocity_weight", "accel_weight"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -11,10 +11,17 @@ residual.
 The attention mask is the same sliding-window pattern in all nine stream
 blocks: row i sees [w(i), i], where the window start w(i) stays 0 for the
 first ``autoregressive_step`` rows and afterwards advances in multiples
-of ``window_step``. Generation just replays this mask: every new code is
-sampled from a forward pass over the full prefix, and the mask itself
-truncates old context once the window engages, which keeps inference
-visibility identical to what training saw.
+of ``window_step``.
+
+Generation runs the model in recurrent mode: each call of
+``GadgModel.forward`` with a ``GenerationState`` takes only the new rows
+and carries, per Mamba block of the routed experts, the causal conv's last
+``conv_kernel - 1`` input rows and the scan state h, and per attention
+module the K/V rows of all three streams from the window start on. This is
+exact, not an approximation: every stage is causal per row, the window
+start w(i) depends only on i, and the scan seeded with the carried h runs
+the same loop as the full sequence, so each emitted row equals the
+matching row of the teacher-forced forward over the whole prefix.
 """
 
 from __future__ import annotations
@@ -112,8 +119,14 @@ def build_sliding_mask(t_latent: int, a_step: int, s: int) -> np.ndarray:
         raise ContractError(
             f"mask arguments must be >= 1, got T'={t_latent}, a_step={a_step}, s={s}"
         )
-    i = np.arange(t_latent)[:, None]
-    j = np.arange(t_latent)[None, :]
+    return _window_mask(np.arange(t_latent), np.arange(t_latent), a_step, s)
+
+
+def _window_mask(rows: np.ndarray, cols: np.ndarray, a_step: int, s: int) -> np.ndarray:
+    """The sliding-window block for absolute row and column positions,
+    tiled over the nine stream-pair blocks: [3 len(rows), 3 len(cols)]."""
+    i = rows[:, None]
+    j = cols[None, :]
     w = np.where(i < a_step, 0, ((i - a_step) // s + 1) * s)
     block = np.where((j <= i) & (j >= w), 0.0, -np.inf)
     return np.tile(block, (3, 3))
@@ -143,12 +156,15 @@ def mamba_discretize(a, b, dt):
     return abar, bbar
 
 
-def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None):
+def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
     """y_t = c_t . h_t with h_t = abar_t h_{t-1} + bbar_t x_t, h_{-1} = 0.
 
     Shapes: x [T, D], a_diag [D, N], b_seq [T, N], c_seq [T, N], dt [T, D].
     Training, teacher forcing and generation all run the one sequential
     ``T.linear_recurrence``; under ``no_grad`` it simply records no tape.
+    A ``cache`` dict continues an earlier call: its ``"h"`` entry, the last
+    state [D, N] of that call, replaces h_{-1} = 0, and this call's last
+    state is stored back into it.
     """
     x, _ = T.wrap(x)
     a_diag, _ = T.wrap(a_diag)
@@ -163,7 +179,9 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None):
         dt.reshape((t_len, d_inner, 1)),
     )
     drive = bbar * x.reshape((t_len, d_inner, 1))
-    h = T.linear_recurrence(abar, drive)
+    h = T.linear_recurrence(abar, drive, None if cache is None else cache.get("h"))
+    if cache is not None:
+        cache["h"] = h.data[-1]
     y = T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
     if skip is not None:
         skip, _ = T.wrap(skip)
@@ -171,11 +189,20 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None):
     return y
 
 
-def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Per-channel causal conv along time: out_t = sum_k w_k x_{t-K+1+k}."""
+def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache=None) -> Tensor:
+    """Per-channel causal conv along time: out_t = sum_k w_k x_{t-K+1+k}.
+
+    The K-1 rows before x are zeros, or, with a ``cache`` dict, the
+    ``"tail"`` of an earlier call's input; this call's tail is stored back.
+    """
     t_len, channels = x.shape
     kernel = weight.shape[0]
-    padded = T.concat([Tensor(np.zeros((kernel - 1, channels))), x], axis=0)
+    tail = np.zeros((kernel - 1, channels))
+    if cache is not None:
+        tail = cache.get("tail", tail)
+    padded = T.concat([Tensor(tail), x], axis=0)
+    if cache is not None:
+        cache["tail"] = padded.data[t_len:]
     out = None
     for k in range(kernel):
         term = T.narrow(padded, 0, k, t_len) * T.narrow(weight, 0, k, 1).reshape((channels,))
@@ -211,19 +238,20 @@ class MambaBlock(Module):
         self.skip = Parameter(np.ones(d_inner))
         self.out_proj = Linear(d_inner, dim, rng.child("out_proj"))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, state: GenerationState | None = None) -> Tensor:
         d_inner = self.cfg.expand * self.cfg.model_dim
         n = self.cfg.state_dim
+        cache = None if state is None else state.slot(self)
         xz = self.in_proj(x)
         xi = T.narrow(xz, 1, 0, d_inner)
         gate = T.narrow(xz, 1, d_inner, d_inner)
-        xi = T.silu(_causal_depthwise_conv(xi, self.conv_weight, self.conv_bias))
+        xi = T.silu(_causal_depthwise_conv(xi, self.conv_weight, self.conv_bias, cache))
         proj = self.x_proj(xi)
         dt_in = T.narrow(proj, 1, 0, self.cfg.dt_rank)
         b_seq = T.narrow(proj, 1, self.cfg.dt_rank, n)
         c_seq = T.narrow(proj, 1, self.cfg.dt_rank + n, n)
         dt = T.softplus(self.dt_proj(dt_in)) + 1e-9
-        y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, skip=self.skip)
+        y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, skip=self.skip, cache=cache)
         return self.out_proj(y * T.silu(gate))
 
 
@@ -239,7 +267,7 @@ class MultiheadAttention(Module):
         self.qkv = Linear(cfg.model_dim, 3 * cfg.model_dim, rng.child("qkv"))
         self.out = Linear(cfg.model_dim, cfg.model_dim, rng.child("out"))
 
-    def __call__(self, x: Tensor, mask: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mask: Tensor, state: GenerationState | None = None) -> Tensor:
         length, dim = x.shape
         qkv = self.qkv(x)
 
@@ -248,6 +276,10 @@ class MultiheadAttention(Module):
             return T.transpose(part.reshape((length, self.heads, self.head_dim)), (1, 0, 2))
 
         q, k, v = head_view(0), head_view(dim), head_view(2 * dim)
+        if state is not None:
+            cache = state.slot(self)
+            k, v = (self._windowed(cache, name, new, mask.shape[1] // 3)
+                    for name, new in (("k", k), ("v", v)))
         # (QK^T + M) / sqrt(C) distributed over the sum: the mask entries are
         # 0 or -inf, both fixed points of the scaling, and keeping the infs
         # out of the product spares the tape from 0 * inf in the backward pass
@@ -255,6 +287,18 @@ class MultiheadAttention(Module):
         weights = T.softmax_lastdim(scores)
         mixed = T.transpose(weights @ v, (1, 0, 2)).reshape((length, dim))
         return self.out(mixed)
+
+    def _windowed(self, cache: dict, name: str, new: Tensor, cols: int) -> Tensor:
+        """Per stream, the cached rows the mask's ``cols`` columns still
+        show, then this call's rows; the result is stored as the cache."""
+        t_len = new.shape[1] // 3
+        kept = cache.get(name, [np.zeros((self.heads, 0, self.head_dim))] * 3)
+        parts = []
+        for s, old in enumerate(kept):
+            parts += [Tensor(old[:, old.shape[1] - (cols - t_len):]), T.narrow(new, 1, s * t_len, t_len)]
+        out = T.concat(parts, axis=1)
+        cache[name] = np.split(out.data, 3, axis=1)
+        return out
 
 
 class Expert(Module):
@@ -272,18 +316,18 @@ class Expert(Module):
         self.drop_mid = Dropout(cfg.dropout, rng.child("drop_mid"))
         self.drop_out = Dropout(cfg.dropout, rng.child("drop_out"))
 
-    def __call__(self, streams, mask: Tensor):
+    def __call__(self, streams, mask: Tensor, state: GenerationState | None = None):
         music, upper, lower = streams
         t_len = music.shape[0]
         if upper.shape[0] != t_len or lower.shape[0] != t_len:
             raise ShapeError(
                 f"stream lengths differ: {music.shape[0]}, {upper.shape[0]}, {lower.shape[0]}"
             )
-        music = music + self.music_mamba(music)
-        upper = upper + self.upper_mamba(upper)
-        lower = lower + self.lower_mamba(lower)
+        music = music + self.music_mamba(music, state)
+        upper = upper + self.upper_mamba(upper, state)
+        lower = lower + self.lower_mamba(lower, state)
         x = T.concat([music, upper, lower], axis=0)
-        x = x + self.attn(x, mask)
+        x = x + self.attn(x, mask, state)
         x = x + self.drop_out(self.ff_out(self.drop_mid(T.relu(self.ff_in(x)))))
         return (
             T.narrow(x, 0, 0, t_len),
@@ -301,18 +345,36 @@ class MoeLayer(Module):
         self.specialized = [Expert(cfg, rng.child(f"specialized{g}")) for g in range(cfg.num_genres)]
         self.universal = Expert(cfg, rng.child("universal"))
 
-    def __call__(self, streams, genre_id: int, mask: Tensor):
+    def __call__(self, streams, genre_id: int, mask: Tensor,
+                 state: GenerationState | None = None):
         if not 0 <= genre_id < len(self.specialized):
             raise RoutingError(
                 f"genre id {genre_id} outside [0, {len(self.specialized)})"
             )
-        spec = self.specialized[genre_id](streams, mask)
-        shared = self.universal(streams, mask)
+        spec = self.specialized[genre_id](streams, mask, state)
+        shared = self.universal(streams, mask, state)
         return tuple(s + u - x for s, u, x in zip(spec, shared, streams))
 
 
 # ---------------------------------------------------------------------------
 # Full model
+
+
+class GenerationState:
+    """What a recurrent ``GadgModel.forward`` carries from one call to the
+    next: the absolute position of the next row, the genre it was started
+    with, and one cache dict per Mamba block and attention module that ran
+    (the routed experts only). The caches hold values, not tape, so no
+    gradient flows into a state.
+    """
+
+    def __init__(self):
+        self.position = 0
+        self.genre_id = None
+        self.slots: dict = {}
+
+    def slot(self, module: Module) -> dict:
+        return self.slots.setdefault(module, {})
 
 
 class GadgModel(Module):
@@ -343,15 +405,29 @@ class GadgModel(Module):
     def start_token(self) -> int:
         return self.cfg.codebook_size
 
-    def forward(self, music_pooled, genre_id: int, upper_in: np.ndarray, lower_in: np.ndarray):
+    def forward(self, music_pooled, genre_id: int, upper_in: np.ndarray, lower_in: np.ndarray,
+                state: GenerationState | None = None):
         """Logits ([T', k], [T', k]) for the next upper/lower codes.
 
         music_pooled is [T', music_dim] (one row per code step); upper_in
         and lower_in are the shifted input codes, start token first.
+
+        With a ``state`` (eval mode only) the inputs are the rows at
+        positions [p, p + T') after the p rows of earlier calls on that
+        state, and the logits equal those rows of the forward over all
+        p + T' rows; the state advances by T'.
         """
         cfg = self.cfg
         if not 0 <= genre_id < cfg.num_genres:
             raise RoutingError(f"genre id {genre_id} outside [0, {cfg.num_genres})")
+        first = 0
+        if state is not None:
+            if self.training:
+                raise ContractError("a generation state needs eval mode; training runs whole sequences")
+            if state.genre_id not in (None, genre_id):
+                raise ContractError(f"state was started with genre {state.genre_id}, not {genre_id}")
+            state.genre_id = genre_id
+            first = state.position
         music, _ = T.wrap(music_pooled)
         upper_in = np.asarray(upper_in, dtype=np.int64)
         lower_in = np.asarray(lower_in, dtype=np.int64)
@@ -362,11 +438,12 @@ class GadgModel(Module):
             )
         if lower_in.shape != (t_len,):
             raise ShapeError("upper/lower input code lengths differ")
-        if t_len > cfg.max_positions:
+        if first + t_len > cfg.max_positions:
             raise ShapeError(
-                f"sequence length {t_len} exceeds positional table {cfg.max_positions}"
+                f"sequence length {first + t_len} exceeds positional table {cfg.max_positions}"
             )
-        pos = T.embedding(self.pos_table, np.arange(t_len))
+        rows = np.arange(first, first + t_len)
+        pos = T.embedding(self.pos_table, rows)
 
         def stream_tag(idx):
             return T.embedding(self.stream_table, np.full(t_len, idx))
@@ -376,10 +453,16 @@ class GadgModel(Module):
         upper = T.embedding(self.upper_table, upper_in) + pos + stream_tag(1)
         lower = T.embedding(self.lower_table, lower_in) + pos + stream_tag(2)
 
-        mask = Tensor(build_sliding_mask(t_len, cfg.autoregressive_step, cfg.window_step))
+        # columns from the first row's window start on: a state keeps no
+        # K/V row before it
+        start = row_window(first, cfg.autoregressive_step, cfg.window_step)
+        mask = Tensor(_window_mask(rows, np.arange(start, first + t_len),
+                                   cfg.autoregressive_step, cfg.window_step))
         streams = (music, upper, lower)
         for layer in self.layers:
-            streams = layer(streams, genre_id, mask)
+            streams = layer(streams, genre_id, mask, state)
+        if state is not None:
+            state.position += t_len
         return self.upper_head(streams[1]), self.lower_head(streams[2])
 
 
@@ -488,12 +571,17 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
              temperature: float = 1.0, seed: int = 0) -> LatentCodeSequence:
     """Emit codes for ``duration_frames`` of motion.
 
-    Each step runs the model on the full emitted prefix under the training
-    mask and samples the next upper and lower code from the final position
-    of one shared forward pass. The first ``autoregressive_step`` codes see
-    everything before them; afterwards the mask's sliding window drops
-    context in ``window_step`` chunks, matching the windowed long-sequence
-    procedure the mask encodes. Argmax by default; ``top_k`` switches to
+    Each step feeds one row (the pooled music of that step and the codes
+    just emitted, start token first) to a recurrent ``forward`` on one
+    ``GenerationState`` and samples the next upper and lower code from its
+    logits. The state holds, per routed Mamba block, the conv tail and the
+    scan state h, and per attention module the K/V rows inside the sliding
+    window, so a step costs one row however long the clip. Every stage is
+    causal per row and the window start depends only on the row, so the
+    logits are those of the teacher-forced forward over the whole prefix
+    under the training mask: the first ``autoregressive_step`` codes see
+    everything before them, later ones a window that slides in
+    ``window_step`` chunks. Argmax by default; ``top_k`` switches to
     seeded categorical sampling at ``temperature``, which must be finite
     and positive.
     """
@@ -523,20 +611,19 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
     was_training = model.training
     model.eval()
     rng = np.random.default_rng(seed)
-    upper: list[int] = []
-    lower: list[int] = []
-    start = model.start_token
+    state = GenerationState()
+    upper = [model.start_token]
+    lower = [model.start_token]
     try:
         with T.no_grad():
             for n in range(t_target):
-                upper_in = np.array([start] + upper, dtype=np.int64)
-                lower_in = np.array([start] + lower, dtype=np.int64)
-                logits_u, logits_l = model.forward(pooled[: n + 1], genre_id, upper_in, lower_in)
-                upper.append(_sample_code(logits_u.data[-1], rng, top_k, temperature))
-                lower.append(_sample_code(logits_l.data[-1], rng, top_k, temperature))
+                logits_u, logits_l = model.forward(pooled[n:n + 1], genre_id, upper[-1:],
+                                                   lower[-1:], state)
+                upper.append(_sample_code(logits_u.data[0], rng, top_k, temperature))
+                lower.append(_sample_code(logits_l.data[0], rng, top_k, temperature))
     finally:
         model.train(was_training)
-    return LatentCodeSequence(np.array(upper), np.array(lower), cfg.codebook_size)
+    return LatentCodeSequence(np.array(upper[1:]), np.array(lower[1:]), cfg.codebook_size)
 
 
 # ---------------------------------------------------------------------------

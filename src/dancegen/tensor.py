@@ -517,20 +517,23 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) ->
 # Linear recurrence (diagonal state-space scan)
 
 
-def _recurrence_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """h_t = a_t * h_{t-1} + b_t along axis 0 from h_{-1} = 0, in numpy."""
+def _recurrence_loop(a: np.ndarray, b: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """h_t = a_t * h_{t-1} + b_t along axis 0 from h_{-1} = initial, in numpy."""
     h = np.empty(b.shape)
-    prev = np.zeros(b.shape[1:])
+    prev = initial
     for t in range(b.shape[0]):
         prev = a[t] * prev + b[t]
         h[t] = prev
     return h
 
 
-def linear_recurrence(decay: Tensor, drive: Tensor) -> Tensor:
-    """States of h_t = decay_t * h_{t-1} + drive_t along axis 0, h_{-1} = 0.
+def linear_recurrence(decay: Tensor, drive: Tensor, initial=None) -> Tensor:
+    """States of h_t = decay_t * h_{t-1} + drive_t along axis 0.
 
     Elementwise over trailing axes: the recurrent mode of a diagonal scan.
+    h_{-1} is ``initial`` (an array of one row's shape), or zero when it is
+    None; it is a constant, so no gradient flows to it, and a sequence split
+    in two and chained through ``initial`` gives the unsplit states bitwise.
     The adjoint is the same loop backwards in time, lam_t = g_t +
     decay_{t+1} lam_{t+1}, with gdrive = lam and gdecay = lam * h_{t-1}.
     """
@@ -538,13 +541,16 @@ def linear_recurrence(decay: Tensor, drive: Tensor) -> Tensor:
         raise ShapeError(f"recurrence shapes differ: {decay.shape} vs {drive.shape}")
     if decay.ndim < 1 or decay.shape[0] < 1:
         raise ShapeError("recurrence needs a nonempty leading time axis")
-    h = _recurrence_loop(decay.data, drive.data)
-    zero_row = np.zeros((1,) + h.shape[1:])
+    zero_row = np.zeros((1,) + decay.shape[1:])
+    first = zero_row if initial is None else np.asarray(initial, dtype=np.float64)[None]
+    if first.shape != zero_row.shape:
+        raise ShapeError(f"initial state must be {decay.shape[1:]}, got {first.shape[1:]}")
+    h = _recurrence_loop(decay.data, drive.data, first[0])
 
     def vjp(g):
         decay_next = np.concatenate([decay.data[1:], zero_row])
-        lam = _recurrence_loop(decay_next[::-1], g[::-1])[::-1]
-        return lam * np.concatenate([zero_row, h[:-1]]), lam
+        lam = _recurrence_loop(decay_next[::-1], g[::-1], zero_row[0])[::-1]
+        return lam * np.concatenate([first, h[:-1]]), lam
 
     return _node(h, (decay, drive), vjp)
 

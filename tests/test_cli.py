@@ -127,6 +127,9 @@ def test_malformed_manifest_entry_is_validation_error(tmp_path, capsys, entry):
     ("gadg", {"lr": -3e-4}, "lr"),
     ("hfdq", {"lr": float("nan")}, "lr"),
     ("hfdq", {"noise_clips": -1}, "noise_clips"),
+    ("hfdq", {"levels": []}, "levels"),
+    ("hfdq", {"velocity_weight": -1}, "velocity_weight"),
+    ("hfdq", {"accel_weight": float("inf")}, "accel_weight"),
 ])
 def test_train_rejects_out_of_range_config(env, tmp_path, capsys, stage, override, field):
     cfg = tmp_path / "range.json"

@@ -4,7 +4,9 @@ cross entropy, training smoke, generation determinism, checkpointing.
 
 The mask is checked exhaustively against the row-window formula; the
 discretization against hand-computed scalar values; the scan against its
-single-step closed form, central differences and its own prefixes.
+single-step closed form, central differences and its own prefixes; the
+recurrent generation state against the teacher-forced forward and a
+full-prefix generation loop.
 """
 
 import numpy as np
@@ -26,7 +28,9 @@ from dancegen.generator import (
     Expert,
     GadgConfig,
     GadgModel,
+    GenerationState,
     GeneratorTrainConfig,
+    _sample_code,
     build_sliding_mask,
     cross_entropy,
     generate,
@@ -566,6 +570,88 @@ def test_generate_rejects_bad_temperature(temperature):
     music = np.zeros((8 * cfg.frames_per_code, cfg.music_dim))
     with pytest.raises(InputError, match="temperature"):
         generate(model, music, 0, 8 * cfg.frames_per_code, top_k=3, temperature=temperature)
+
+
+# ---------------------------------------------------------------------------
+# Recurrent mode: the state path against the teacher-forced forward
+
+
+def windowed_model(seed=4):
+    """tiny_cfg widths with the desk window (22/8): at T' = 64 the window
+    engages at row 22 and slides six times."""
+    model = GadgModel(tiny_cfg(autoregressive_step=22, window_step=8, max_positions=64), seed=seed)
+    model.eval()
+    return model
+
+
+def kv_rows(state):
+    return [kv.shape[1] for slot in state.slots.values()
+            for name in ("k", "v") for kv in slot.get(name, [])]
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_stateful_forward_matches_teacher_forced(chunk):
+    model = windowed_model()
+    cfg = model.cfg
+    t_len = 64
+    music, codes = random_sequence(cfg, t_len, seed=3)
+    pooled = pool_music(music, cfg.frames_per_code)
+    upper_in, lower_in = shifted_inputs(codes, model.start_token)
+    state = GenerationState()
+    got_u, got_l = [], []
+    with T.no_grad():
+        full_u, full_l = model.forward(pooled, 2, upper_in, lower_in)
+        for p in range(0, t_len, chunk):
+            rows = slice(p, p + chunk)
+            lu, ll = model.forward(pooled[rows], 2, upper_in[rows], lower_in[rows], state)
+            got_u.append(lu.data)
+            got_l.append(ll.data)
+            # two experts per layer, K and V of three streams each, holding
+            # the rows from the window start of this call's first row on
+            kept = state.position - row_window(p, cfg.autoregressive_step, cfg.window_step)
+            assert kv_rows(state) == [kept] * (2 * cfg.num_layers * 2 * 3)
+            assert kept <= cfg.autoregressive_step + chunk - 1
+    assert state.position == t_len
+    assert np.abs(np.concatenate(got_u) - full_u.data).max() < 1e-10
+    assert np.abs(np.concatenate(got_l) - full_l.data).max() < 1e-10
+
+
+def full_prefix_generate(model, music, genre_id, t_target, top_k, seed):
+    """The recompute-everything loop: each code from the last row of a
+    forward over the whole emitted prefix."""
+    pooled = pool_music(music, model.cfg.frames_per_code)
+    rng = np.random.default_rng(seed)
+    upper, lower = [model.start_token], [model.start_token]
+    with T.no_grad():
+        for n in range(t_target):
+            lu, ll = model.forward(pooled[: n + 1], genre_id, upper, lower)
+            upper.append(_sample_code(lu.data[-1], rng, top_k, 1.0))
+            lower.append(_sample_code(ll.data[-1], rng, top_k, 1.0))
+    return upper[1:], lower[1:]
+
+
+@pytest.mark.parametrize("top_k", [None, 3])
+def test_generate_matches_full_prefix_oracle(top_k):
+    model = windowed_model(seed=6)
+    cfg = model.cfg
+    music = np.random.default_rng(11).normal(size=(64 * cfg.frames_per_code, cfg.music_dim))
+    got = generate(model, music, 1, 64 * cfg.frames_per_code, top_k=top_k, seed=9)
+    want_u, want_l = full_prefix_generate(model, music, 1, 64, top_k, seed=9)
+    assert got.upper.tolist() == want_u and got.lower.tolist() == want_l
+
+
+def test_state_needs_eval_mode_and_one_genre():
+    model = windowed_model()
+    cfg = model.cfg
+    music = np.zeros((1, cfg.music_dim))
+    model.train()
+    with pytest.raises(ContractError, match="eval"):
+        model.forward(music, 0, [model.start_token], [model.start_token], GenerationState())
+    model.eval()
+    state = GenerationState()
+    model.forward(music, 0, [model.start_token], [model.start_token], state)
+    with pytest.raises(ContractError, match="genre"):
+        model.forward(music, 1, [0], [0], state)
 
 
 # ---------------------------------------------------------------------------

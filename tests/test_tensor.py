@@ -284,14 +284,28 @@ def test_conv_channel_mismatch():
         T.conv1d_transpose(Tensor(np.zeros((8, 3))), Tensor(np.zeros((4, 2, 4))), None, stride=2)
 
 
-# steps = 1 leaves the adjoint an empty decay[1:] to pad
-@pytest.mark.parametrize("seed, steps", [(s, 7) for s in SEEDS] + [(0, 1)],
-                         ids=[str(s) for s in SEEDS] + ["steps1"])
-def test_linear_recurrence_gradients(seed, steps):
+# steps = 1 leaves the adjoint an empty decay[1:] to pad; a nonzero
+# initial state enters the decay gradient through h_{-1}
+@pytest.mark.parametrize("seed, steps, seeded", [(s, 7, False) for s in SEEDS]
+                         + [(0, 1, False), (0, 7, True)],
+                         ids=[str(s) for s in SEEDS] + ["steps1", "initial"])
+def test_linear_recurrence_gradients(seed, steps, seeded):
     rng = np.random.default_rng(seed)
     decay = rng.uniform(0.1, 0.95, size=(steps, 3))
     drive = rand(rng, steps, 3)
-    check_gradients(lambda xs: T.linear_recurrence(xs[0], xs[1]), [decay, drive])
+    initial = rand(rng, 3) * 2.0 if seeded else None
+    check_gradients(lambda xs: T.linear_recurrence(xs[0], xs[1], initial), [decay, drive])
+
+
+def test_linear_recurrence_chains_through_initial():
+    rng = np.random.default_rng(5)
+    decay = rng.uniform(-1.0, 1.0, size=(23, 4, 3))
+    drive = rng.standard_normal((23, 4, 3))
+    whole = T.linear_recurrence(Tensor(decay), Tensor(drive)).data
+    for cut in range(1, 23):
+        head = T.linear_recurrence(Tensor(decay[:cut]), Tensor(drive[:cut])).data
+        tail = T.linear_recurrence(Tensor(decay[cut:]), Tensor(drive[cut:]), head[-1]).data
+        assert np.array_equal(np.concatenate([head, tail]), whole), cut
 
 
 def test_linear_recurrence_matches_hand_rollout():
@@ -316,6 +330,8 @@ def test_parallel_recurrence_matches_sequential(seed):
 def test_linear_recurrence_shape_error():
     with pytest.raises(ShapeError):
         T.linear_recurrence(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 3))))
+    with pytest.raises(ShapeError):
+        T.linear_recurrence(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))), np.zeros(3))
 
 
 def test_backward_requires_scalar():
