@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Outputs a refactor of the core must leave bitwise unchanged, dumped from
+one checkout's ``src/`` and compared between two dumps:
+
+    python3 scripts/bitwise_outputs.py dump --src OLD/src --out old.npz
+    python3 scripts/bitwise_outputs.py dump --src NEW/src --out new.npz
+    python3 scripts/bitwise_outputs.py compare old.npz new.npz
+
+A dump holds the loss logs of the benchmark's ``train`` workload at seed 0
+(5 codec and 3 generator steps on 16 synthetic 240-frame clips), the codes
+of 8 clips generated as its ``generate`` workload does (4 genres, argmax
+and top-k 8, 32 codes), and forward kinematics, split/merge and the finite
+differences, with their input gradients, on a [8, 240, 147] batch. Run
+each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
+does. ``compare`` exits 1 if any entry differs in a single bit.
+"""
+
+import argparse
+import dataclasses
+import sys
+
+import numpy as np
+
+GENRES = 4
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, src)
+    import dancegen as dg
+    from dancegen import motion as M
+    from dancegen import tensor as T
+
+    res = {}
+    cfg = dg.load_config(None)
+    pairs = [dg.synthesize_pair(dg.SyntheticPairConfig(seed=i, clip_frames=240), i % GENRES)
+             for i in range(16)]
+    codec, res["codec_losses"] = dg.train_codec(
+        [clip.frames for _, clip in pairs], cfg.fsq_config(), cfg.loss_config(),
+        dataclasses.replace(cfg.codec_train_config(), steps=5, seed=0))
+    dataset = [(music.frames, music.genre_id, codec.encode(clip.frames)) for music, clip in pairs]
+    _, res["generator_losses"] = dg.train_generator(
+        dataset, cfg.gadg_config(), dataclasses.replace(cfg.generator_train_config(), steps=3, seed=0))
+
+    generator = dg.GadgModel(cfg.gadg_config(), seed=0)
+    tracks = [dg.synthesize_pair(dg.SyntheticPairConfig(seed=g, clip_frames=256), g)[0]
+              for g in range(GENRES)]
+    for i in range(2 * GENRES):
+        music = tracks[i % GENRES]
+        top_k = 8 if (i + i // GENRES) % 2 else None
+        codes = dg.generate(generator, music.frames, music.genre_id, 256,
+                            top_k=top_k, temperature=1.0, seed=i)
+        res[f"codes_{i}"] = np.stack([codes.upper, codes.lower])
+
+    rng = np.random.default_rng(7)
+    x = np.tile(M.REST_FRAME, (8, 240, 1)) + 0.3 * rng.standard_normal((8, 240, 147))
+    probe = rng.standard_normal((8, 240, 24, 3))
+    runs = {
+        "fk": lambda t: M.forward_kinematics(t) * T.Tensor(probe),
+        "split_merge": lambda t: M.merge_body(*(p * w for p, w in zip(M.split_body(t), (2.0, 3.0)))),
+        "diff1": lambda t: M.finite_difference(t, 1),
+        "diff2": lambda t: M.finite_difference(t, 2),
+    }
+    for name, fn in runs.items():
+        leaf = T.Tensor(x, requires_grad=True)
+        y = fn(leaf)
+        (y * y).sum().backward()
+        res[name], res[name + "_grad"] = y.data, leaf.grad
+    res["split_upper"], res["split_lower"] = M.split_body(x)
+    np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
+
+
+def compare(a: str, b: str) -> int:
+    old, new = np.load(a), np.load(b)
+    bad = sorted(set(old.files) ^ set(new.files))
+    for key in sorted(set(old.files) & set(new.files)):
+        x, y = old[key], new[key]
+        if x.shape != y.shape or x.dtype != y.dtype or x.tobytes() != y.tobytes():
+            bad.append(key)
+    for key in bad:
+        print(f"differs: {key}")
+    print(f"{len(old.files)} entries, {len(bad)} differ")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("--src", required=True, help="the checkout's src/ directory")
+    d.add_argument("--out", required=True, help=".npz file to write")
+    c = sub.add_parser("compare")
+    c.add_argument("old")
+    c.add_argument("new")
+    args = ap.parse_args()
+    if args.cmd == "dump":
+        dump(args.src, args.out)
+        return 0
+    return compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

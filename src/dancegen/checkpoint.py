@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .errors import DependencyError, FormatError
-from .textfile import read_json_object
+from .textfile import atomic_write, read_json_object
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -41,7 +41,7 @@ def save_checkpoint(path, stage: str, config: dict, named_params) -> None:
         "config_hash": config_hash(config),
         "params": params,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 

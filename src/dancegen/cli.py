@@ -122,7 +122,7 @@ def cmd_synth_data(args) -> int:
         "clip_frames": cfg.data.clip_frames,
         "clips": entries,
     }
-    with open(out / MANIFEST_NAME, "w") as fh:
+    with TF.atomic_write(out / MANIFEST_NAME) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.clips == 0:

@@ -104,12 +104,10 @@ class GeneratorTrainConfig:
 # Sliding-window attention mask
 
 
-def row_window(i: int, a_step: int, s: int) -> int:
-    """First visible column for row i: 0 until a_step, then the window
-    start jumps forward s columns every s rows."""
-    if i < a_step:
-        return 0
-    return ((i - a_step) // s + 1) * s
+def row_window(i, a_step: int, s: int):
+    """First visible column for row i (an int or an array of rows): 0 until
+    a_step, then the window start jumps forward s columns every s rows."""
+    return np.where(i < a_step, 0, ((i - a_step) // s + 1) * s)
 
 
 def build_sliding_mask(t_latent: int, a_step: int, s: int) -> np.ndarray:
@@ -127,8 +125,7 @@ def _window_mask(rows: np.ndarray, cols: np.ndarray, a_step: int, s: int) -> np.
     tiled over the nine stream-pair blocks: [3 len(rows), 3 len(cols)]."""
     i = rows[:, None]
     j = cols[None, :]
-    w = np.where(i < a_step, 0, ((i - a_step) // s + 1) * s)
-    block = np.where((j <= i) & (j >= w), 0.0, -np.inf)
+    block = np.where((j <= i) & (j >= row_window(i, a_step, s)), 0.0, -np.inf)
     return np.tile(block, (3, 3))
 
 
@@ -205,7 +202,7 @@ def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache=None) 
         cache["tail"] = padded.data[t_len:]
     out = None
     for k in range(kernel):
-        term = T.narrow(padded, 0, k, t_len) * T.narrow(weight, 0, k, 1).reshape((channels,))
+        term = padded[k:k + t_len] * weight[k]
         out = term if out is None else out + term
     return out + bias
 
@@ -243,13 +240,11 @@ class MambaBlock(Module):
         n = self.cfg.state_dim
         cache = None if state is None else state.slot(self)
         xz = self.in_proj(x)
-        xi = T.narrow(xz, 1, 0, d_inner)
-        gate = T.narrow(xz, 1, d_inner, d_inner)
+        xi, gate = xz[:, :d_inner], xz[:, d_inner:]
         xi = T.silu(_causal_depthwise_conv(xi, self.conv_weight, self.conv_bias, cache))
         proj = self.x_proj(xi)
-        dt_in = T.narrow(proj, 1, 0, self.cfg.dt_rank)
-        b_seq = T.narrow(proj, 1, self.cfg.dt_rank, n)
-        c_seq = T.narrow(proj, 1, self.cfg.dt_rank + n, n)
+        r = self.cfg.dt_rank
+        dt_in, b_seq, c_seq = proj[:, :r], proj[:, r:r + n], proj[:, r + n:]
         dt = T.softplus(self.dt_proj(dt_in)) + 1e-9
         y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, skip=self.skip, cache=cache)
         return self.out_proj(y * T.silu(gate))
@@ -272,7 +267,7 @@ class MultiheadAttention(Module):
         qkv = self.qkv(x)
 
         def head_view(start):
-            part = T.narrow(qkv, 1, start, dim)
+            part = qkv[:, start:start + dim]
             return T.transpose(part.reshape((length, self.heads, self.head_dim)), (1, 0, 2))
 
         q, k, v = head_view(0), head_view(dim), head_view(2 * dim)
@@ -295,7 +290,7 @@ class MultiheadAttention(Module):
         kept = cache.get(name, [np.zeros((self.heads, 0, self.head_dim))] * 3)
         parts = []
         for s, old in enumerate(kept):
-            parts += [Tensor(old[:, old.shape[1] - (cols - t_len):]), T.narrow(new, 1, s * t_len, t_len)]
+            parts += [Tensor(old[:, old.shape[1] - (cols - t_len):]), new[:, s * t_len:(s + 1) * t_len]]
         out = T.concat(parts, axis=1)
         cache[name] = np.split(out.data, 3, axis=1)
         return out
@@ -329,11 +324,7 @@ class Expert(Module):
         x = T.concat([music, upper, lower], axis=0)
         x = x + self.attn(x, mask, state)
         x = x + self.drop_out(self.ff_out(self.drop_mid(T.relu(self.ff_in(x)))))
-        return (
-            T.narrow(x, 0, 0, t_len),
-            T.narrow(x, 0, t_len, t_len),
-            T.narrow(x, 0, 2 * t_len, t_len),
-        )
+        return x[:t_len], x[t_len:2 * t_len], x[2 * t_len:]
 
 
 class MoeLayer(Module):
@@ -478,7 +469,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"targets outside [0, {k})")
     shifted = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
     lse = T.log(T.reduce_sum(T.exp(shifted), axis=-1))
-    picked = T.take_along_last(shifted, targets)
+    picked = shifted[np.arange(targets.size), targets]
     return T.reduce_mean(lse - picked)
 
 

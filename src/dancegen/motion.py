@@ -149,18 +149,15 @@ class BodyPartSplit:
 class MotionSequence:
     """A validated [T, 147] motion clip at 30 fps."""
 
-    def __init__(self, frames: np.ndarray, fps: int = FPS):
+    def __init__(self, frames: np.ndarray):
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[1] != FRAME_WIDTH:
             raise ShapeError(f"motion frames must be [T, {FRAME_WIDTH}], got {frames.shape}")
         if frames.shape[0] < 1:
             raise ShapeError("motion must contain at least one frame")
-        if fps != FPS:
-            raise FormatError(f"unsupported fps {fps}; this pipeline is fixed at {FPS}")
         if not np.isfinite(frames).all():
             raise FormatError("motion frames contain non-finite values")
         self.frames = frames
-        self.fps = fps
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -179,8 +176,7 @@ def rot6d_to_matrix(r):
     if r.shape[-1] != 6:
         raise ShapeError(f"6D rotations need a trailing axis of 6, got {r.shape}")
 
-    a = T.narrow(r, r.ndim - 1, 0, 3)
-    b = T.narrow(r, r.ndim - 1, 3, 3)
+    a, b = r[..., :3], r[..., 3:]
 
     a_norm = np.sqrt((a.data ** 2).sum(axis=-1))
     if (a_norm <= _DEGENERACY_EPS).any():
@@ -203,8 +199,8 @@ def rot6d_to_matrix(r):
 
 def _cross(u: Tensor, v: Tensor) -> Tensor:
     """u x v over the last axis, as u_yzx * v_zxy - u_zxy * v_yzx."""
-    yzx, zxy = (1, 2, 0), (2, 0, 1)
-    return T.gather_last(u, yzx) * T.gather_last(v, zxy) - T.gather_last(u, zxy) * T.gather_last(v, yzx)
+    yzx, zxy = [1, 2, 0], [2, 0, 1]
+    return u[..., yzx] * v[..., zxy] - u[..., zxy] * v[..., yzx]
 
 
 def forward_kinematics(frames, skeleton: Skeleton | None = None):
@@ -225,15 +221,11 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
         raise ShapeError("frames need at least a [T, width] shape")
 
     n = skeleton.joint_count
-    last = x.ndim - 1
-    trans = T.narrow(x, last, 0, 3)
-    rots = T.narrow(x, last, 3, 6 * n).reshape(x.shape[:-1] + (n, 6))
+    trans = x[..., :3]
+    rots = x[..., 3:3 + 6 * n].reshape(x.shape[:-1] + (n, 6))
     rmats = rot6d_to_matrix(rots)  # [..., T, n, 3, 3]
 
-    def joint_rot(j):
-        return T.narrow(rmats, rmats.ndim - 3, j, 1).reshape(x.shape[:-1] + (3, 3))
-
-    globals_ = [joint_rot(0)]
+    globals_ = [rmats[..., 0, :, :]]
     local = [None] * n  # root-relative positions [..., T, 3]
     local[0] = Tensor(np.zeros(x.shape[:-1] + (3,)))
     for j in range(1, n):
@@ -241,7 +233,7 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
         offset = Tensor(skeleton.offsets[j].reshape(3, 1))
         step = (globals_[parent] @ offset).reshape(x.shape[:-1] + (3,))
         local[j] = local[parent] + step
-        globals_.append(globals_[parent] @ joint_rot(j))
+        globals_.append(globals_[parent] @ rmats[..., j, :, :])
 
     stacked = T.concat([p.reshape(p.shape[:-1] + (1, 3)) for p in local], axis=x.ndim - 1)
     positions = stacked + trans.reshape(trans.shape[:-1] + (1, 3))
@@ -259,8 +251,7 @@ def split_body(frames, split: BodyPartSplit | None = None):
     x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"split_body expects trailing width {FRAME_WIDTH}, got {x.shape}")
-    upper = T.gather_last(x, split.upper_cols)
-    lower = T.gather_last(x, split.lower_cols)
+    upper, lower = x[..., split.upper_cols], x[..., split.lower_cols]
     return (upper.data, lower.data) if plain else (upper, lower)
 
 
@@ -274,7 +265,7 @@ def merge_body(upper, lower, split: BodyPartSplit | None = None):
             f"merge_body widths must be ({split.upper_width}, {split.lower_width}), "
             f"got ({u.shape[-1]}, {l.shape[-1]})"
         )
-    merged = T.gather_last(T.concat([u, l], axis=-1), split.merge_order)
+    merged = T.concat([u, l], axis=-1)[..., split.merge_order]
     return merged.data if (plain_u and plain_l) else merged
 
 
@@ -286,19 +277,13 @@ def finite_difference(x, order: int):
     """
     if order not in (1, 2):
         raise ContractError(f"difference order must be 1 or 2, got {order}")
-    t_axis_len = np.shape(x if not isinstance(x, Tensor) else x.data)[-2]
-    if t_axis_len < order + 1:
-        raise ShapeError(f"need at least {order + 1} frames for order {order}, got {t_axis_len}")
     xt, plain = T.wrap(x)
-    ax = xt.ndim - 2
+    if xt.shape[-2] < order + 1:
+        raise ShapeError(f"need at least {order + 1} frames for order {order}, got {xt.shape[-2]}")
     if order == 1:
-        out = T.narrow(xt, ax, 1, t_axis_len - 1) - T.narrow(xt, ax, 0, t_axis_len - 1)
+        out = xt[..., 1:, :] - xt[..., :-1, :]
     else:
-        out = (
-            T.narrow(xt, ax, 2, t_axis_len - 2)
-            - T.narrow(xt, ax, 1, t_axis_len - 2) * 2.0
-            + T.narrow(xt, ax, 0, t_axis_len - 2)
-        )
+        out = xt[..., 2:, :] - xt[..., 1:-1, :] * 2.0 + xt[..., :-2, :]
     return out.data if plain else out
 
 
@@ -310,7 +295,7 @@ MOTION_VERSION = 1
 
 
 def write_motion_file(path, motion: MotionSequence) -> None:
-    header = {"fps": motion.fps, "joint_count": JOINT_COUNT, "frame_count": motion.frames.shape[0]}
+    header = {"fps": FPS, "joint_count": JOINT_COUNT, "frame_count": motion.frames.shape[0]}
     TF.write_text_file(path, MOTION_FORMAT, MOTION_VERSION, header,
                        (TF.float_row(row) for row in motion.frames))
 

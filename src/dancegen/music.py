@@ -40,14 +40,12 @@ TEMPO_CHOICES = (60, 72, 75, 90, 100, 120, 150, 180)
 class MusicFeatureSequence:
     """A validated [T, 35] music feature track with its genre id."""
 
-    def __init__(self, frames: np.ndarray, genre_id: int, fps: int = FPS):
+    def __init__(self, frames: np.ndarray, genre_id: int):
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 2 or frames.shape[1] != MUSIC_WIDTH:
             raise ShapeError(f"music frames must be [T, {MUSIC_WIDTH}], got {frames.shape}")
         if frames.shape[0] < 1:
             raise ShapeError("music must contain at least one frame")
-        if fps != FPS:
-            raise FormatError(f"unsupported fps {fps}; this pipeline is fixed at {FPS}")
         if not np.isfinite(frames).all():
             raise FormatError("music frames contain non-finite values")
         for name, col in (("peak", PEAK_COL), ("beat", BEAT_COL)):
@@ -61,7 +59,6 @@ class MusicFeatureSequence:
             raise FormatError(f"genre id must be non-negative, got {genre_id}")
         self.frames = frames
         self.genre_id = int(genre_id)
-        self.fps = fps
 
     def __len__(self) -> int:
         return self.frames.shape[0]
@@ -71,7 +68,7 @@ class MusicFeatureSequence:
 
 
 def write_music_file(path, music: MusicFeatureSequence) -> None:
-    header = {"fps": music.fps, "width": MUSIC_WIDTH,
+    header = {"fps": FPS, "width": MUSIC_WIDTH,
               "frame_count": music.frames.shape[0], "genre_id": music.genre_id}
     TF.write_text_file(path, MUSIC_FORMAT, MUSIC_VERSION, header,
                        (TF.float_row(row) for row in music.frames))

@@ -70,7 +70,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar. Scalars and ndarrays are lifted to constant tensors.
+    # Operator sugar. Scalars and ndarrays are lifted to constant tensors;
+    # numpy defers to these methods rather than applying its ufuncs
+    # elementwise to the Tensor as an object.
+    __array_ufunc__ = None
+
     def __add__(self, other):
         return add(self, _lift(other))
 
@@ -100,6 +104,12 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _lift(other))
+
+    def __rmatmul__(self, other):
+        return matmul(_lift(other), self)
+
+    def __getitem__(self, key):
+        return index(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -351,23 +361,6 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     return _node(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
-    dim = a.data.shape[axis]
-    if start < 0 or length < 0 or start + length > dim:
-        raise ShapeError(f"narrow [{start}:{start + length}) outside axis of size {dim}")
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _node(a.data[idx], (a,), vjp)
-
-
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -394,6 +387,37 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _node(s, (a,), vjp)
 
 
+def index(a: Tensor, key) -> Tensor:
+    """``a.data[key]`` under numpy's indexing rules; a basic key gives a view.
+
+    The gradient is scattered into zeros: by plain assignment when no entry
+    can be picked twice, otherwise by ``np.add.at``, which sums repeated
+    picks. The check runs in the VJP only, so ``no_grad`` never pays for it.
+    """
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        if _picks_once(key):
+            ga[key] = g
+        else:
+            np.add.at(ga, key, g)
+        return (ga,)
+
+    return _node(a.data[key], (a,), vjp)
+
+
+def _picks_once(key) -> bool:
+    """Whether no entry can be picked twice: the key holds no integer array,
+    or one of distinct non-negative indices (a negative index can name the
+    same entry as a non-negative one)."""
+    ints = [np.asarray(k) for k in (key if isinstance(key, tuple) else (key,))
+            if isinstance(k, (list, np.ndarray)) and np.asarray(k).dtype.kind in "iu"]
+    if len(ints) != 1:
+        return not ints
+    ids = ints[0]
+    return ids.size == 0 or (ids.min() >= 0 and np.unique(ids).size == ids.size)
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]``; gradient scatter-adds into the table."""
     ids = np.asarray(ids)
@@ -402,44 +426,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding ids outside [0, {table.data.shape[0]}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    data = table.data[ids]
-
-    def vjp(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return (gt,)
-
-    return _node(data, (table,), vjp)
-
-
-def take_along_last(a: Tensor, ids: np.ndarray) -> Tensor:
-    """Pick one entry per row along the last axis (e.g. target logits)."""
-    ids = np.asarray(ids)
-    data = np.take_along_axis(a.data, ids[..., None], axis=-1)[..., 0]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, ids[..., None], g[..., None], axis=-1)
-        return (ga,)
-
-    return _node(data, (a,), vjp)
-
-
-def gather_last(a: Tensor, idx) -> Tensor:
-    """Columns ``a[..., idx]``. The indices must be distinct, so the
-    gradient is a plain scatter with no index receiving two contributions."""
-    idx = np.asarray(idx, dtype=np.intp)
-    width = a.data.shape[-1]
-    in_range = idx.size == 0 or (idx.min() >= 0 and idx.max() < width)
-    if idx.ndim != 1 or not in_range or np.unique(idx).size != idx.size:
-        raise ContractError(f"gather_last needs distinct indices in [0, {width}), got {idx.tolist()}")
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[..., idx] = g
-        return (ga,)
-
-    return _node(a.data[..., idx], (a,), vjp)
+    return index(table, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,35 @@ The JSON documents (config, manifest, checkpoint) share one reader too.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
 from .errors import FormatError
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file handle whose contents replace ``path`` (``os.replace``)
+    only when the block ends cleanly; on an exception the old ``path`` stays
+    as it was. The temp file sits beside ``path`` and is made by a plain
+    ``open``, so the result gets the usual mode rather than mkstemp's 0600."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_text_file(path, fmt: str, version: int, header: dict, rows) -> None:
     """The format line, a ``#key value`` line per header entry, then the rows."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"#format {fmt} v{version}\n")
         for key, value in header.items():
             fh.write(f"#{key} {value}\n")
@@ -26,7 +45,7 @@ def write_text_file(path, fmt: str, version: int, header: dict, rows) -> None:
 
 def float_row(values) -> str:
     """Floats written by ``repr``, so they read back exactly."""
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
 def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):

@@ -119,15 +119,9 @@ def test_shape_op_gradients(seed):
     x = rand(rng, 4, 6)
     check_gradients(lambda xs: xs[0].reshape(2, 12), [x])
     check_gradients(lambda xs: xs[0].transpose((1, 0)), [x])
-    check_gradients(lambda xs: T.narrow(xs[0], 1, 2, 3), [x])
+    check_gradients(lambda xs: xs[0][:, 2:5], [x])
     y = rand(rng, 4, 2)
     check_gradients(lambda xs: T.concat([xs[0], xs[1]], axis=1), [x, y])
-
-
-def test_narrow_bounds():
-    x = Tensor(np.zeros((4, 6)))
-    with pytest.raises(ShapeError):
-        T.narrow(x, 1, 4, 3)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -177,7 +171,7 @@ def test_embedding_and_gather_gradients(seed):
     check_gradients(lambda xs: T.embedding(xs[0], ids), [table])
     logits = rand(rng, 6, 5)
     targets = rng.integers(0, 5, size=6)
-    check_gradients(lambda xs: T.take_along_last(xs[0], targets), [logits])
+    check_gradients(lambda xs: xs[0][np.arange(6), targets], [logits])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -185,14 +179,45 @@ def test_gather_last_gradients(seed):
     rng = np.random.default_rng(seed)
     x = rand(rng, 3, 2, 7)
     idx = rng.permutation(7)[:5]
-    check_gradients(lambda xs: T.gather_last(xs[0], idx), [x])
+    check_gradients(lambda xs: xs[0][..., idx], [x])
 
 
-def test_gather_last_rejects_bad_indices():
-    x = Tensor(np.zeros((2, 4)))
-    for idx in ([1, 2, 1], [0, 4], [-1], [[0, 1]]):
-        with pytest.raises(ContractError):
-            T.gather_last(x, idx)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("key", [
+    np.s_[1:3, ::2],
+    np.s_[2],
+    np.s_[..., [4, 0, 2]],
+    np.s_[np.array([0, 3, 0, 3, 1])],
+    np.s_[np.array([[0, 2], [2, 3]]), np.array([1, 1])],
+    np.s_[np.array([-1, 3])],
+], ids=["slice", "int", "ellipsis_columns", "repeated_ids", "array_tuple", "mixed_sign"])
+def test_index_gradients(seed, key):
+    rng = np.random.default_rng(seed)
+    x = rand(rng, 4, 3, 5)
+    check_gradients(lambda xs: xs[0][key], [x])
+
+
+def test_index_forward_is_numpy_indexing():
+    x = np.arange(24.0).reshape(4, 6)
+    view = Tensor(x)[1:, ::2]
+    assert np.shares_memory(view.data, x)
+    assert np.array_equal(Tensor(x)[[0, 0, 3], -1].data, x[[0, 0, 3], -1])
+    with pytest.raises(IndexError):
+        Tensor(x)[:, 6]
+
+
+def test_index_sums_repeated_picks():
+    leaf = Tensor(np.zeros((3, 2)), requires_grad=True)
+    backward((leaf[np.array([2, 0, 2, -1])] * Tensor([[1.0, 2.0]])).sum())
+    np.testing.assert_array_equal(leaf.grad, [[1.0, 2.0], [0.0, 0.0], [3.0, 6.0]])
+
+
+def test_ndarray_operands_defer_to_tensor():
+    leaf = Tensor(np.ones((3, 2)), requires_grad=True)
+    out = np.full(2, 3.0) * (np.ones((4, 3)) @ leaf)
+    assert isinstance(out, Tensor) and out.shape == (4, 2)
+    backward(out.sum())
+    np.testing.assert_array_equal(leaf.grad, np.full((3, 2), 12.0))
 
 
 def test_embedding_range_check():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dancegen.cli import read_loss_log, write_loss_log
+from dancegen.textfile import write_text_file
 from dancegen.codec import LatentCodeSequence, read_codes_file, write_codes_file
 from dancegen.errors import FormatError
 from dancegen.metrics import read_report_file, write_report_file
@@ -102,3 +103,22 @@ def test_report_bad_value_names_line(tmp_path, key, value, line):
     write_report_file(path, dict(REPORT, **{key: value}))
     with pytest.raises(FormatError, match=line):
         read_report_file(path)
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "losses.txt"
+    write_loss_log(path, [1.5, 0.25])
+    old = path.read_bytes()
+    mode = path.stat().st_mode
+
+    def rows():
+        yield "0 9.0"
+        raise RuntimeError("writer died")
+
+    with pytest.raises(RuntimeError, match="writer died"):
+        write_text_file(path, "dancegen-losses", 1, {}, rows())
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["losses.txt"]
+    write_loss_log(path, [2.0])
+    assert path.read_text() == "#format dancegen-losses v1\n0 2.0\n"
+    assert path.stat().st_mode == mode
