@@ -9,8 +9,12 @@ one checkout's ``src/`` and compared between two dumps:
 A dump holds the loss logs of the benchmark's ``train`` workload at seed 0
 (5 codec and 3 generator steps on 16 synthetic 240-frame clips), the codes
 of 8 clips generated as its ``generate`` workload does (4 genres, argmax
-and top-k 8, 32 codes), and forward kinematics, split/merge and the finite
-differences, with their input gradients, on a [8, 240, 147] batch. Run
+and top-k 8, 32 codes), the gradient of every parameter of the seed-0
+desk-config generator and codec after one training-mode loss on fixed
+inputs (a 30-code teacher-forced sequence, four 240-frame clips), and
+forward kinematics, split/merge and the finite differences, with their
+input gradients, on a [8, 240, 147] batch. The parameter gradients catch
+a reordered sum that the trained loss logs can round away. Run
 each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
@@ -29,6 +33,8 @@ def dump(src: str, out: str) -> None:
     import dancegen as dg
     from dancegen import motion as M
     from dancegen import tensor as T
+    from dancegen.codec import reconstruction_loss
+    from dancegen.generator import pool_music, teacher_forced_loss
 
     res = {}
     cfg = dg.load_config(None)
@@ -50,6 +56,20 @@ def dump(src: str, out: str) -> None:
         codes = dg.generate(generator, music.frames, music.genre_id, 256,
                             top_k=top_k, temperature=1.0, seed=i)
         res[f"codes_{i}"] = np.stack([codes.upper, codes.lower])
+
+    music = pairs[0][0]
+    teacher_forced_loss(generator, pool_music(music.frames, cfg.gadg_config().frames_per_code),
+                        music.genre_id, dataset[0][2]).backward()
+    model = dg.CodecModel(cfg.fsq_config(), seed=0)
+    frames = np.stack([clip.frames for _, clip in pairs[:4]])
+    frames_hat, _, _ = model.reconstruct(T.Tensor(frames))
+    reconstruction_loss(frames_hat, T.Tensor(frames),
+                        M.forward_kinematics(frames_hat).reshape((4, 240, -1)),
+                        T.Tensor(M.forward_kinematics(frames).reshape((4, 240, -1))),
+                        cfg.loss_config()).backward()
+    for prefix, module in (("generator_grad.", generator), ("codec_grad.", model)):
+        for name, p in module.named_parameters():
+            res[prefix + name] = np.zeros(0) if p.grad is None else p.grad
 
     rng = np.random.default_rng(7)
     x = np.tile(M.REST_FRAME, (8, 240, 1)) + 0.3 * rng.standard_normal((8, 240, 147))

@@ -191,6 +191,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.temperature is not None and args.top_k is None:
+        raise InputError("--temperature applies only to top-k sampling; give --top-k with it")
     generator = load_generator(args.gadg_ckpt)
     codec = load_codec(args.hfdq_ckpt)
     if generator.cfg.codebook_size != codec.cfg.codebook_size:
@@ -206,7 +208,8 @@ def cmd_generate(args) -> int:
     music = read_music_file(args.music)
     codes = generate_codes(
         generator, music.frames, args.genre, args.frames,
-        top_k=args.top_k, temperature=args.temperature, seed=args.seed,
+        top_k=args.top_k, temperature=1.0 if args.temperature is None else args.temperature,
+        seed=args.seed,
     )
     frames = codec.decode(codes)
     write_motion_file(args.out, MotionSequence(frames))
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 

@@ -13,20 +13,22 @@ blocks: row i sees [w(i), i], where the window start w(i) stays 0 for the
 first ``autoregressive_step`` rows and afterwards advances in multiples
 of ``window_step``.
 
-Generation runs the model in recurrent mode: each call of
-``GadgModel.forward`` with a ``GenerationState`` takes only the new rows
-and carries, per Mamba block of the routed experts, the causal conv's last
-``conv_kernel - 1`` input rows and the scan state h, and per attention
-module the K/V rows of all three streams from the window start on. This is
-exact, not an approximation: every stage is causal per row, the window
-start w(i) depends only on i, and the scan seeded with the carried h runs
-the same loop as the full sequence, so each emitted row equals the
-matching row of the teacher-forced forward over the whole prefix.
+Every call of ``GadgModel.forward`` runs on a ``GenerationState``: it
+takes the rows after the state's position and carries, per Mamba block of
+the routed experts, the causal conv's last ``conv_kernel - 1`` input rows
+and the scan state h, and per attention module the K/V rows of all three
+streams from the window start on. Teacher forcing is the forward from a
+fresh state, which ``forward`` makes when given none; generation is a
+loop of one-row calls on one state. This is exact, not an approximation:
+every stage is causal per row, the window start w(i) depends only on i,
+and the scan seeded with the carried h runs the same loop as the full
+sequence, so each emitted row equals the matching row of the
+teacher-forced forward over the whole prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,12 +68,9 @@ class GadgConfig:
     head_gain: float = 0.02
 
     def __post_init__(self):
-        for name in ("model_dim", "num_genres", "num_layers", "num_heads", "ff_dim",
-                     "state_dim", "conv_kernel", "expand", "autoregressive_step",
-                     "window_step", "codebook_size", "music_dim", "frames_per_code",
-                     "max_positions"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive, got {getattr(self, f.name)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
@@ -110,21 +109,18 @@ def row_window(i, a_step: int, s: int):
     return np.where(i < a_step, 0, ((i - a_step) // s + 1) * s)
 
 
-def build_sliding_mask(t_latent: int, a_step: int, s: int) -> np.ndarray:
-    """[3T, 3T] additive mask of {0, -inf}, the same T x T sliding-window
-    block tiled over all nine stream-pair blocks."""
-    if t_latent < 1 or a_step < 1 or s < 1:
+def build_sliding_mask(t_latent: int, a_step: int, s: int, first: int = 0) -> np.ndarray:
+    """Additive mask of {0, -inf} for rows [first, first + T) against
+    columns [w(first), first + T): the sliding-window block tiled over all
+    nine stream-pair blocks, [3T, 3T] for ``first = 0``. Columns before
+    w(first) are left out, as no row from ``first`` on sees them."""
+    if t_latent < 1 or a_step < 1 or s < 1 or first < 0:
         raise ContractError(
-            f"mask arguments must be >= 1, got T'={t_latent}, a_step={a_step}, s={s}"
+            f"mask arguments must be >= 1 (first >= 0), got T'={t_latent}, "
+            f"a_step={a_step}, s={s}, first={first}"
         )
-    return _window_mask(np.arange(t_latent), np.arange(t_latent), a_step, s)
-
-
-def _window_mask(rows: np.ndarray, cols: np.ndarray, a_step: int, s: int) -> np.ndarray:
-    """The sliding-window block for absolute row and column positions,
-    tiled over the nine stream-pair blocks: [3 len(rows), 3 len(cols)]."""
-    i = rows[:, None]
-    j = cols[None, :]
+    i = np.arange(first, first + t_latent)[:, None]
+    j = np.arange(row_window(first, a_step, s), first + t_latent)[None, :]
     block = np.where((j <= i) & (j >= row_window(i, a_step, s)), 0.0, -np.inf)
     return np.tile(block, (3, 3))
 
@@ -159,10 +155,11 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
     Shapes: x [T, D], a_diag [D, N], b_seq [T, N], c_seq [T, N], dt [T, D].
     Training, teacher forcing and generation all run the one sequential
     ``T.linear_recurrence``; under ``no_grad`` it simply records no tape.
-    A ``cache`` dict continues an earlier call: its ``"h"`` entry, the last
-    state [D, N] of that call, replaces h_{-1} = 0, and this call's last
-    state is stored back into it.
+    The ``cache`` dict carries the scan between calls: its ``"h"`` entry,
+    the last state [D, N] of an earlier call, replaces h_{-1} = 0, and this
+    call's last state is stored back into it.
     """
+    cache = {} if cache is None else cache
     x, _ = T.wrap(x)
     a_diag, _ = T.wrap(a_diag)
     b_seq, _ = T.wrap(b_seq)
@@ -176,9 +173,8 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
         dt.reshape((t_len, d_inner, 1)),
     )
     drive = bbar * x.reshape((t_len, d_inner, 1))
-    h = T.linear_recurrence(abar, drive, None if cache is None else cache.get("h"))
-    if cache is not None:
-        cache["h"] = h.data[-1]
+    h = T.linear_recurrence(abar, drive, cache.get("h"))
+    cache["h"] = h.data[-1]
     y = T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
     if skip is not None:
         skip, _ = T.wrap(skip)
@@ -186,20 +182,17 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
     return y
 
 
-def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache=None) -> Tensor:
+def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache: dict) -> Tensor:
     """Per-channel causal conv along time: out_t = sum_k w_k x_{t-K+1+k}.
 
-    The K-1 rows before x are zeros, or, with a ``cache`` dict, the
-    ``"tail"`` of an earlier call's input; this call's tail is stored back.
+    The K-1 rows before x are the ``cache``'s ``"tail"`` of an earlier
+    call's input, or zeros in an empty cache; this call's tail is stored
+    back.
     """
     t_len, channels = x.shape
     kernel = weight.shape[0]
-    tail = np.zeros((kernel - 1, channels))
-    if cache is not None:
-        tail = cache.get("tail", tail)
-    padded = T.concat([Tensor(tail), x], axis=0)
-    if cache is not None:
-        cache["tail"] = padded.data[t_len:]
+    padded = T.concat([Tensor(cache.get("tail", np.zeros((kernel - 1, channels)))), x], axis=0)
+    cache["tail"] = padded.data[t_len:]
     out = None
     for k in range(kernel):
         term = padded[k:k + t_len] * weight[k]
@@ -235,10 +228,10 @@ class MambaBlock(Module):
         self.skip = Parameter(np.ones(d_inner))
         self.out_proj = Linear(d_inner, dim, rng.child("out_proj"))
 
-    def __call__(self, x: Tensor, state: GenerationState | None = None) -> Tensor:
+    def __call__(self, x: Tensor, state: GenerationState) -> Tensor:
         d_inner = self.cfg.expand * self.cfg.model_dim
         n = self.cfg.state_dim
-        cache = None if state is None else state.slot(self)
+        cache = state.slot(self)
         xz = self.in_proj(x)
         xi, gate = xz[:, :d_inner], xz[:, d_inner:]
         xi = T.silu(_causal_depthwise_conv(xi, self.conv_weight, self.conv_bias, cache))
@@ -262,7 +255,7 @@ class MultiheadAttention(Module):
         self.qkv = Linear(cfg.model_dim, 3 * cfg.model_dim, rng.child("qkv"))
         self.out = Linear(cfg.model_dim, cfg.model_dim, rng.child("out"))
 
-    def __call__(self, x: Tensor, mask: Tensor, state: GenerationState | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: Tensor, state: GenerationState) -> Tensor:
         length, dim = x.shape
         qkv = self.qkv(x)
 
@@ -270,11 +263,10 @@ class MultiheadAttention(Module):
             part = qkv[:, start:start + dim]
             return T.transpose(part.reshape((length, self.heads, self.head_dim)), (1, 0, 2))
 
-        q, k, v = head_view(0), head_view(dim), head_view(2 * dim)
-        if state is not None:
-            cache = state.slot(self)
-            k, v = (self._windowed(cache, name, new, mask.shape[1] // 3)
-                    for name, new in (("k", k), ("v", v)))
+        q = head_view(0)
+        cache = state.slot(self)
+        k, v = (self._windowed(cache, name, head_view(start), mask.shape[1] // 3)
+                for name, start in (("k", dim), ("v", 2 * dim)))
         # (QK^T + M) / sqrt(C) distributed over the sum: the mask entries are
         # 0 or -inf, both fixed points of the scaling, and keeping the infs
         # out of the product spares the tape from 0 * inf in the backward pass
@@ -311,13 +303,9 @@ class Expert(Module):
         self.drop_mid = Dropout(cfg.dropout, rng.child("drop_mid"))
         self.drop_out = Dropout(cfg.dropout, rng.child("drop_out"))
 
-    def __call__(self, streams, mask: Tensor, state: GenerationState | None = None):
+    def __call__(self, streams, mask: Tensor, state: GenerationState):
         music, upper, lower = streams
         t_len = music.shape[0]
-        if upper.shape[0] != t_len or lower.shape[0] != t_len:
-            raise ShapeError(
-                f"stream lengths differ: {music.shape[0]}, {upper.shape[0]}, {lower.shape[0]}"
-            )
         music = music + self.music_mamba(music, state)
         upper = upper + self.upper_mamba(upper, state)
         lower = lower + self.lower_mamba(lower, state)
@@ -336,12 +324,7 @@ class MoeLayer(Module):
         self.specialized = [Expert(cfg, rng.child(f"specialized{g}")) for g in range(cfg.num_genres)]
         self.universal = Expert(cfg, rng.child("universal"))
 
-    def __call__(self, streams, genre_id: int, mask: Tensor,
-                 state: GenerationState | None = None):
-        if not 0 <= genre_id < len(self.specialized):
-            raise RoutingError(
-                f"genre id {genre_id} outside [0, {len(self.specialized)})"
-            )
+    def __call__(self, streams, genre_id: int, mask: Tensor, state: GenerationState):
         spec = self.specialized[genre_id](streams, mask, state)
         shared = self.universal(streams, mask, state)
         return tuple(s + u - x for s, u, x in zip(spec, shared, streams))
@@ -352,11 +335,12 @@ class MoeLayer(Module):
 
 
 class GenerationState:
-    """What a recurrent ``GadgModel.forward`` carries from one call to the
-    next: the absolute position of the next row, the genre it was started
-    with, and one cache dict per Mamba block and attention module that ran
-    (the routed experts only). The caches hold values, not tape, so no
-    gradient flows into a state.
+    """What ``GadgModel.forward`` carries from one call to the next: the
+    absolute position of the next row, the genre it was started with, and
+    one cache dict per Mamba block and attention module that ran (the
+    routed experts only). A forward given no state runs on a fresh one, so
+    teacher forcing is the same code as generation. The caches hold values,
+    not tape, so no gradient flows into a state.
     """
 
     def __init__(self):
@@ -403,22 +387,23 @@ class GadgModel(Module):
         music_pooled is [T', music_dim] (one row per code step); upper_in
         and lower_in are the shifted input codes, start token first.
 
-        With a ``state`` (eval mode only) the inputs are the rows at
-        positions [p, p + T') after the p rows of earlier calls on that
-        state, and the logits equal those rows of the forward over all
-        p + T' rows; the state advances by T'.
+        Without a ``state`` this is the teacher-forced forward over rows
+        [0, T'), run on a fresh state. With one (eval mode only) the inputs
+        are the rows at positions [p, p + T') after the p rows of earlier
+        calls on that state, and the logits equal those rows of the forward
+        over all p + T' rows; the state advances by T'.
         """
         cfg = self.cfg
         if not 0 <= genre_id < cfg.num_genres:
             raise RoutingError(f"genre id {genre_id} outside [0, {cfg.num_genres})")
-        first = 0
-        if state is not None:
-            if self.training:
-                raise ContractError("a generation state needs eval mode; training runs whole sequences")
-            if state.genre_id not in (None, genre_id):
-                raise ContractError(f"state was started with genre {state.genre_id}, not {genre_id}")
-            state.genre_id = genre_id
-            first = state.position
+        if state is None:
+            state = GenerationState()
+        elif self.training:
+            raise ContractError("a generation state needs eval mode; training runs whole sequences")
+        if state.genre_id not in (None, genre_id):
+            raise ContractError(f"state was started with genre {state.genre_id}, not {genre_id}")
+        state.genre_id = genre_id
+        first = state.position
         music, _ = T.wrap(music_pooled)
         upper_in = np.asarray(upper_in, dtype=np.int64)
         lower_in = np.asarray(lower_in, dtype=np.int64)
@@ -433,27 +418,18 @@ class GadgModel(Module):
             raise ShapeError(
                 f"sequence length {first + t_len} exceeds positional table {cfg.max_positions}"
             )
-        rows = np.arange(first, first + t_len)
-        pos = T.embedding(self.pos_table, rows)
+        pos = T.embedding(self.pos_table, np.arange(first, first + t_len))
+        music = (self.music_out(T.relu(self.music_in(music))) + self.genre_table[genre_id]
+                 + pos + self.stream_table[0])
+        upper = T.embedding(self.upper_table, upper_in) + pos + self.stream_table[1]
+        lower = T.embedding(self.lower_table, lower_in) + pos + self.stream_table[2]
 
-        def stream_tag(idx):
-            return T.embedding(self.stream_table, np.full(t_len, idx))
-
-        genre_vec = T.embedding(self.genre_table, np.full(t_len, genre_id))
-        music = self.music_out(T.relu(self.music_in(music))) + genre_vec + pos + stream_tag(0)
-        upper = T.embedding(self.upper_table, upper_in) + pos + stream_tag(1)
-        lower = T.embedding(self.lower_table, lower_in) + pos + stream_tag(2)
-
-        # columns from the first row's window start on: a state keeps no
-        # K/V row before it
-        start = row_window(first, cfg.autoregressive_step, cfg.window_step)
-        mask = Tensor(_window_mask(rows, np.arange(start, first + t_len),
-                                   cfg.autoregressive_step, cfg.window_step))
+        # a state keeps no K/V row before the first row's window start
+        mask = Tensor(build_sliding_mask(t_len, cfg.autoregressive_step, cfg.window_step, first))
         streams = (music, upper, lower)
         for layer in self.layers:
             streams = layer(streams, genre_id, mask, state)
-        if state is not None:
-            state.position += t_len
+        state.position += t_len
         return self.upper_head(streams[1]), self.lower_head(streams[2])
 
 

@@ -215,6 +215,18 @@ def test_generate_rejects_bad_temperature(env, tmp_path, capsys, temperature):
     assert not (tmp_path / "x.txt").exists()
 
 
+def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
+    code = main(["generate", "--gadg-ckpt", str(env["gen"]),
+                 "--hfdq-ckpt", str(env["codec"]),
+                 "--music", str(env["data"] / "clip_0001.music.txt"),
+                 "--genre", "1", "--frames", "32", "--temperature", "0.5",
+                 "--out", str(tmp_path / "x.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--temperature" in err and "--top-k" in err
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_generate_unknown_genre_lists_valid_ids(env, tmp_path, capsys):
     code = main(["generate", "--gadg-ckpt", str(env["gen"]),
                  "--hfdq-ckpt", str(env["codec"]),

@@ -44,7 +44,6 @@ from dancegen.generator import (
     teacher_forced_loss,
     train_generator,
 )
-from dancegen.nn import Rng
 from dancegen.tensor import Tensor
 
 from gradcheck import check_gradients
@@ -122,7 +121,7 @@ def test_mask_short_sequences_are_pure_causal():
 
 
 def test_mask_rejects_degenerate_arguments():
-    for bad in [(0, 22, 8), (30, 0, 8), (30, 22, 0)]:
+    for bad in [(0, 22, 8), (30, 0, 8), (30, 22, 0), (30, 22, 8, -1)]:
         with pytest.raises(ContractError):
             build_sliding_mask(*bad)
 
@@ -143,6 +142,25 @@ def test_mask_property_row_visibility(t_len, a_step, s):
         assert np.array_equal(zeros, np.arange(min(w, t_len), min(i + 1, t_len)))
         # never sees the future
         assert np.all(block[i, i + 1:] == -np.inf)
+
+
+@given(
+    t_len=st.integers(min_value=1, max_value=24),
+    first=st.integers(min_value=0, max_value=40),
+    a_step=st.integers(min_value=1, max_value=32),
+    s=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_mask_from_first_row_is_a_window_of_the_full_mask(t_len, first, a_step, s):
+    # rows [first, first + T) x columns [w(first), first + T) of the
+    # full mask, in each of the nine stream-pair blocks
+    full_len = first + t_len
+    rows = np.concatenate([b * full_len + np.arange(first, full_len) for b in range(3)])
+    cols = np.concatenate([b * full_len + np.arange(row_window(first, a_step, s), full_len)
+                           for b in range(3)])
+    full = build_sliding_mask(full_len, a_step, s)
+    assert np.array_equal(build_sliding_mask(t_len, a_step, s, first=first),
+                          full[np.ix_(rows, cols)])
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +346,9 @@ def test_forward_shapes_and_validation():
     lu, ll = model.forward(pool_music(music, cfg.frames_per_code), 1, upper_in, lower_in)
     assert lu.shape == (6, cfg.codebook_size)
     assert ll.shape == (6, cfg.codebook_size)
-    with pytest.raises(RoutingError):
-        model.forward(pool_music(music, cfg.frames_per_code), cfg.num_genres, upper_in, lower_in)
+    for genre in (cfg.num_genres, -1):
+        with pytest.raises(RoutingError):
+            model.forward(pool_music(music, cfg.frames_per_code), genre, upper_in, lower_in)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((6, cfg.music_dim + 1)), 0, upper_in, lower_in)
     with pytest.raises(ShapeError):
@@ -448,31 +467,6 @@ def test_routing_gradients_are_sparse():
                 assert norm > 0.0
             else:
                 assert norm == 0.0, (g, norm)
-
-
-def test_routing_rejects_unknown_genre():
-    cfg = tiny_cfg()
-    model = GadgModel(cfg, seed=3)
-    layer = model.layers[0]
-    streams = tuple(Tensor(np.zeros((4, cfg.model_dim))) for _ in range(3))
-    mask = Tensor(build_sliding_mask(4, cfg.autoregressive_step, cfg.window_step))
-    with pytest.raises(RoutingError):
-        layer(streams, -1, mask)
-    with pytest.raises(RoutingError):
-        layer(streams, cfg.num_genres, mask)
-
-
-def test_expert_rejects_ragged_streams():
-    cfg = tiny_cfg(dropout=0.0)
-    expert = Expert(cfg, Rng(0).child("expert"))
-    mask = Tensor(build_sliding_mask(4, cfg.autoregressive_step, cfg.window_step))
-    streams = (
-        Tensor(np.zeros((4, cfg.model_dim))),
-        Tensor(np.zeros((3, cfg.model_dim))),
-        Tensor(np.zeros((4, cfg.model_dim))),
-    )
-    with pytest.raises(ShapeError):
-        expert(streams, mask)
 
 
 # ---------------------------------------------------------------------------
