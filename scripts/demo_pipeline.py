@@ -14,12 +14,13 @@ import time
 from pathlib import Path
 
 from dancegen.cli import main as cli
+from dancegen.config import load_config
 
 SMALL = {
     "hfdq": {"steps": 150, "batch_size": 2, "feature_dim": 32},
     "gadg": {"model_dim": 32, "num_heads": 4, "num_layers": 1, "ff_dim": 64,
              "state_dim": 4, "steps": 150, "batch_size": 2, "lr": 1e-3},
-    "data": {"clip_frames": 240, "num_genres": 4},
+    "data": {"clip_frames": 240},
 }
 
 
@@ -43,13 +44,11 @@ def main():
     print(f"workspace: {root}")
 
     cfg_path = root / "config.json"
-    if args.full:
-        cfg_args = []
-        num_genres = 4
-    else:
+    cfg_args = []
+    if not args.full:
         cfg_path.write_text(json.dumps(SMALL, indent=2))
         cfg_args = ["--config", str(cfg_path)]
-        num_genres = SMALL["data"]["num_genres"]
+    num_genres = load_config(cfg_args[-1] if cfg_args else None).gadg.num_genres
 
     t0 = time.time()
     data = root / "data"

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import DependencyError, FormatError
+from .errors import DancegenError, DependencyError, FormatError
 from .textfile import atomic_write, read_json_object
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
@@ -45,8 +45,10 @@ def save_checkpoint(path, stage: str, config: dict, named_params) -> None:
         json.dump(doc, fh)
 
 
-def load_checkpoint(path, expected_stage: str | None = None):
-    """Returns (stage, config, params: dict name -> ndarray, config_hash)."""
+def load_checkpoint(path, expected_stage: str):
+    """Returns (config, params: dict name -> ndarray) of an
+    ``expected_stage`` checkpoint. A parameter whose data are not numbers
+    or whose size does not fit its shape is a FormatError naming ``path``."""
     if not os.path.exists(path):
         raise DependencyError(f"checkpoint not found: {path}")
     doc = read_json_object(path, "checkpoint")
@@ -58,29 +60,39 @@ def load_checkpoint(path, expected_stage: str | None = None):
             f"expected {CHECKPOINT_VERSION}"
         )
     stage = doc.get("stage")
-    if expected_stage is not None and stage != expected_stage:
+    if stage != expected_stage:
         raise FormatError(f"{path}: stage {stage!r} does not match expected {expected_stage!r}")
-    params = {}
-    for name, entry in doc["params"].items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = arr
-    return stage, doc["config"], params, doc["config_hash"]
+    try:
+        params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                  for name, entry in doc["params"].items()}
+        return doc["config"], params
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed checkpoint: {type(e).__name__}: {e}") from None
 
 
-def restore_into(model, params: dict) -> None:
-    """Copy loaded arrays into a model; names must match exactly."""
+def load_model(path, stage: str, build):
+    """The model ``build(config)`` makes from the config of a ``stage``
+    checkpoint, holding its saved parameters; names and shapes must match
+    exactly. A config that ``build`` rejects is a FormatError naming
+    ``path``, like every other fault of the document."""
+    config, params = load_checkpoint(path, stage)
+    try:
+        model = build(config)
+    except (DancegenError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad {stage} config: {type(e).__name__}: {e}") from None
     model_params = dict(model.named_parameters())
     missing = set(model_params) - set(params)
     extra = set(params) - set(model_params)
     if missing or extra:
         raise FormatError(
-            f"checkpoint/model parameter mismatch: missing {sorted(missing)[:4]}, "
+            f"{path}: checkpoint/model parameter mismatch: missing {sorted(missing)[:4]}, "
             f"unexpected {sorted(extra)[:4]}"
         )
     for name, p in model_params.items():
-        if tuple(params[name].shape) != tuple(p.data.shape):
+        if params[name].shape != p.data.shape:
             raise FormatError(
-                f"parameter {name}: checkpoint shape {params[name].shape} "
+                f"{path}: parameter {name}: checkpoint shape {params[name].shape} "
                 f"!= model shape {p.data.shape}"
             )
         p.data = params[name].copy()
+    return model

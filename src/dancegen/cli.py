@@ -90,6 +90,11 @@ def _load_pairs(data_dir: Path):
                 f"'motion' and an integer 'genre_id'"
             )
         music = read_music_file(data_dir / entry["music"])
+        if music.genre_id != entry["genre_id"]:
+            raise FormatError(
+                f"{path}: clip entry {i} has genre_id {entry['genre_id']} but its music "
+                f"file says {music.genre_id}"
+            )
         clip = read_motion_file(data_dir / entry["motion"])
         pairs.append((music, clip, entry["genre_id"]))
     return pairs
@@ -100,12 +105,14 @@ def _load_pairs(data_dir: Path):
 
 
 def cmd_synth_data(args) -> int:
+    if args.clips < 0:
+        raise InputError(f"--clips must be >= 0, got {args.clips}")
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(args.clips):
-        genre_id = i % cfg.data.num_genres
+        genre_id = i % cfg.gadg.num_genres
         pair_cfg = SyntheticPairConfig(
             seed=cfg.data.seed + i, clip_frames=cfg.data.clip_frames
         )

@@ -20,9 +20,9 @@ import numpy as np
 from . import motion as MO
 from . import tensor as T
 from . import textfile as TF
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .checkpoint import load_model, save_checkpoint
 from .errors import ConfigError, FormatError, InputError, OutOfRangeError, ShapeError
-from .motion import BodyPartSplit, Skeleton
+from .motion import BodyPartSplit
 from .nn import Adam, Linear, Module, Rng, check_training_ranges, fan_in_uniform
 from .tensor import Parameter, Tensor
 
@@ -35,7 +35,8 @@ DOWNSAMPLE = 8
 class FsqConfig:
     """Quantizer grid and codec width.
 
-    Defaults are desk scale; ``paper_scale`` selects the full-width codec.
+    Defaults are desk scale; the paper's codec is 512 features wide on the
+    same grid.
     """
 
     levels: tuple = (7, 5, 5, 5, 5)
@@ -55,10 +56,6 @@ class FsqConfig:
     @property
     def codebook_size(self) -> int:
         return int(np.prod(self.levels))
-
-    @classmethod
-    def paper_scale(cls) -> "FsqConfig":
-        return cls(levels=(7, 5, 5, 5, 5), feature_dim=512)
 
 
 @dataclass
@@ -123,29 +120,23 @@ def normalize_levels(quant: Tensor, levels: tuple) -> Tensor:
 
 def levels_to_index(level_rows: np.ndarray, levels: tuple) -> np.ndarray:
     """Mixed-radix packing: index = sum_i level_i * prod_{j>i} L_j."""
-    levels = np.asarray(levels, dtype=np.int64)
+    levels = tuple(int(v) for v in levels)
     rows = np.asarray(level_rows, dtype=np.int64)
-    if rows.shape[-1] != levels.shape[0]:
-        raise ShapeError(f"level rows end in {rows.shape[-1]}, expected {levels.shape[0]}")
+    if rows.shape[-1] != len(levels):
+        raise ShapeError(f"level rows end in {rows.shape[-1]}, expected {len(levels)}")
     if (rows < 0).any() or (rows >= levels).any():
-        raise OutOfRangeError(f"levels outside their ranges {tuple(levels)}")
-    weights = np.concatenate([np.cumprod(levels[::-1])[::-1][1:], [1]])
-    return (rows * weights).sum(axis=-1)
+        raise OutOfRangeError(f"levels outside their ranges {levels}")
+    return np.ravel_multi_index(np.moveaxis(rows, -1, 0), levels)
 
 
 def index_to_levels(indices: np.ndarray, levels: tuple) -> np.ndarray:
     """Inverse mixed-radix unpacking."""
-    levels = np.asarray(levels, dtype=np.int64)
+    levels = tuple(int(v) for v in levels)
     idx = np.asarray(indices, dtype=np.int64)
     k = int(np.prod(levels))
     if (idx < 0).any() or (idx >= k).any():
         raise OutOfRangeError(f"code index outside [0, {k})")
-    out = np.empty(idx.shape + (levels.shape[0],), dtype=np.int64)
-    rem = idx.copy()
-    for i in range(levels.shape[0] - 1, -1, -1):
-        out[..., i] = rem % levels[i]
-        rem = rem // levels[i]
-    return out
+    return np.stack(np.unravel_index(idx, levels), axis=-1)
 
 
 def codebook_utilization(code_arrays, codebook_size: int) -> float:
@@ -214,7 +205,7 @@ class ConvEncoder(Module):
                 f"encoder input length {x.shape[-2]} not divisible by {DOWNSAMPLE}; caller must pad"
             )
         for w, b in self.convs:
-            x = T.relu(T.conv1d(x, w, b, stride=2))
+            x = T.relu(T.conv1d(x, w, stride=2) + b)
         x = T.relu(self.mlp_hidden(x))
         z = self.mlp_out(x)
         mean = T.reduce_mean(z, axis=-2, keepdims=True)
@@ -264,11 +255,12 @@ class ConvDecoder(Module):
         x = T.relu(self.mlp_in(z))
         x = T.relu(self.mlp_hidden(x))
         for i, (w, b) in enumerate(self.tconvs):
-            x = T.conv1d_transpose(x, w, b, stride=2)
+            x = T.conv1d_transpose(x, w, stride=2) + b
             if i < len(self.tconvs) - 1:
                 x = T.relu(x)
-        r = T.relu(T.conv1d(x, self.refine[0][0], self.refine[0][1], stride=1))
-        return x + T.conv1d(r, self.refine[1][0], self.refine[1][1], stride=1)
+        (w0, b0), (w1, b1) = self.refine
+        r = T.relu(T.conv1d(x, w0) + b0)
+        return x + (T.conv1d(r, w1) + b1)
 
 
 def _conv_params(rng: Rng, kernel: int, cin: int, cout: int, gain: float = 1.0):
@@ -426,7 +418,6 @@ def train_codec(
     cfg: FsqConfig | None = None,
     loss_cfg: LossConfig | None = None,
     train_cfg: CodecTrainConfig | None = None,
-    skeleton: Skeleton | None = None,
 ):
     """Train the codec on a list of [T, 147] clips; returns (model, loss log).
 
@@ -437,7 +428,6 @@ def train_codec(
     cfg = cfg or FsqConfig()
     loss_cfg = loss_cfg or LossConfig()
     train_cfg = train_cfg or CodecTrainConfig()
-    skeleton = skeleton or Skeleton.default()
 
     clips = [np.asarray(c.frames if isinstance(c, MO.MotionSequence) else c) for c in clips]
     if not clips:
@@ -456,7 +446,7 @@ def train_codec(
         ]
 
     stack = np.stack(clips)  # [N, T, 147]
-    joints = MO.forward_kinematics(stack, skeleton)  # [N, T, 24, 3]
+    joints = MO.forward_kinematics(stack)  # [N, T, 24, 3]
     joints_flat = joints.reshape(joints.shape[0], joints.shape[1], -1)
 
     model = CodecModel(cfg, seed=train_cfg.seed)
@@ -468,7 +458,7 @@ def train_codec(
         idx = rng.choice(n, size=batch, replace=False)
         frames = Tensor(stack[idx])
         frames_hat, _, _ = model.reconstruct(frames)
-        joints_hat = _flatten_joints(MO.forward_kinematics(frames_hat, skeleton))
+        joints_hat = _flatten_joints(MO.forward_kinematics(frames_hat))
         loss = reconstruction_loss(
             frames_hat, frames, joints_hat, Tensor(joints_flat[idx]), loss_cfg
         )
@@ -502,10 +492,11 @@ def save_codec(path, model: CodecModel, loss_cfg: LossConfig | None = None) -> N
     save_checkpoint(path, CODEC_STAGE, config, model.named_parameters())
 
 
-def load_codec(path) -> CodecModel:
-    _, config, params, _ = load_checkpoint(path, expected_stage=CODEC_STAGE)
+def _codec_from_config(config: dict) -> CodecModel:
     cfg = FsqConfig(levels=tuple(config["levels"]), feature_dim=config["feature_dim"])
     split = BodyPartSplit(tuple(config["lower_joints"]), tuple(config["upper_joints"]))
-    model = CodecModel(cfg, split)
-    restore_into(model, params)
-    return model
+    return CodecModel(cfg, split)
+
+
+def load_codec(path) -> CodecModel:
+    return load_model(path, CODEC_STAGE, _codec_from_config)

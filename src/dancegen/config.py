@@ -4,9 +4,9 @@ The ``hfdq``, ``gadg`` and ``data`` sections are built from the stage
 dataclasses they feed, so each field's type and default is declared once,
 on the stage class; a section only chooses which stage fields are settable.
 Every key is validated against its section; unknown keys are rejected by
-name so a typo cannot silently fall back to a default. The generator's
-codebook size is always derived from the codec level list, never stated
-twice.
+name so a typo cannot silently fall back to a default. Nothing is stated
+twice: the generator's codebook size is derived from the codec level list,
+and ``gadg.num_genres`` is also the genre count ``synth-data`` cycles over.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ GadgSection = _section(
                   "autoregressive_step", "window_step", "max_positions")),
     (GeneratorTrainConfig, ("steps", "batch_size", "lr")),
 )
-DataSection = _section(
-    "DataSection",
-    (SyntheticPairConfig, ("seed", "clip_frames")),
-    (GadgConfig, ("num_genres",)),
-)
+DataSection = _section("DataSection", (SyntheticPairConfig, ("seed", "clip_frames")))
 
 
 @dataclass
@@ -71,11 +67,6 @@ class PipelineConfig:
             raise ConfigError(
                 f"autoregressive_step {self.gadg.autoregressive_step} must be >= "
                 f"window_step {self.gadg.window_step}"
-            )
-        if self.gadg.num_genres != self.data.num_genres:
-            raise ConfigError(
-                f"gadg.num_genres {self.gadg.num_genres} != data.num_genres "
-                f"{self.data.num_genres}; the router needs one expert per genre"
             )
 
     @property

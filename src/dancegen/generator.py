@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
-from .codec import LatentCodeSequence
+from .checkpoint import load_model, save_checkpoint
+from .codec import DOWNSAMPLE, LatentCodeSequence
 from .errors import (
     ConfigError,
     ContractError,
@@ -42,13 +42,16 @@ from .errors import (
     RoutingError,
     ShapeError,
 )
+from .music import MUSIC_WIDTH
 from .nn import Adam, Dropout, Linear, Module, Rng, check_training_ranges
 from .tensor import Parameter, Tensor
 
 
 @dataclass
 class GadgConfig:
-    """Desk-scale defaults; ``paper_scale`` selects the full-size stack."""
+    """Desk-scale defaults. The paper's stack is 512 wide with 16 genres,
+    6 layers and a 2048-wide feed-forward; ``music_dim`` and
+    ``frames_per_code`` follow the music format and the codec."""
 
     model_dim: int = 128
     num_genres: int = 4
@@ -62,8 +65,8 @@ class GadgConfig:
     autoregressive_step: int = 22
     window_step: int = 8
     codebook_size: int = 4375
-    music_dim: int = 35
-    frames_per_code: int = 8
+    music_dim: int = MUSIC_WIDTH
+    frames_per_code: int = DOWNSAMPLE
     max_positions: int = 256
     head_gain: float = 0.02
 
@@ -81,10 +84,6 @@ class GadgConfig:
     @property
     def dt_rank(self) -> int:
         return max(1, self.model_dim // 16)
-
-    @classmethod
-    def paper_scale(cls) -> "GadgConfig":
-        return cls(model_dim=512, num_genres=16, num_layers=6, ff_dim=2048)
 
 
 @dataclass
@@ -149,7 +148,7 @@ def mamba_discretize(a, b, dt):
     return abar, bbar
 
 
-def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
+def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
     """y_t = c_t . h_t with h_t = abar_t h_{t-1} + bbar_t x_t, h_{-1} = 0.
 
     Shapes: x [T, D], a_diag [D, N], b_seq [T, N], c_seq [T, N], dt [T, D].
@@ -175,11 +174,7 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, skip=None, cache=None):
     drive = bbar * x.reshape((t_len, d_inner, 1))
     h = T.linear_recurrence(abar, drive, cache.get("h"))
     cache["h"] = h.data[-1]
-    y = T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
-    if skip is not None:
-        skip, _ = T.wrap(skip)
-        y = y + skip * x
-    return y
+    return T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
 
 
 def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache: dict) -> Tensor:
@@ -239,7 +234,7 @@ class MambaBlock(Module):
         r = self.cfg.dt_rank
         dt_in, b_seq, c_seq = proj[:, :r], proj[:, r:r + n], proj[:, r + n:]
         dt = T.softplus(self.dt_proj(dt_in)) + 1e-9
-        y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, skip=self.skip, cache=cache)
+        y = selective_scan(xi, -T.exp(self.a_log), b_seq, c_seq, dt, cache=cache) + self.skip * xi
         return self.out_proj(y * T.silu(gate))
 
 
@@ -604,7 +599,4 @@ def save_generator(path, model: GadgModel) -> None:
 
 
 def load_generator(path) -> GadgModel:
-    _, config, params, _ = load_checkpoint(path, expected_stage=GENERATOR_STAGE)
-    model = GadgModel(GadgConfig(**config))
-    restore_into(model, params)
-    return model
+    return load_model(path, GENERATOR_STAGE, lambda config: GadgModel(GadgConfig(**config)))

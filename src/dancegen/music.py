@@ -98,14 +98,10 @@ class SyntheticPairConfig:
 
     seed: int = 0
     clip_frames: int = 240
-    tempo_low: int = 60
-    tempo_high: int = 180
 
     def __post_init__(self):
         if self.clip_frames < 16:
             raise ShapeError(f"clip_frames too small: {self.clip_frames}")
-        if self.tempo_low > self.tempo_high:
-            raise FormatError("tempo_low must not exceed tempo_high")
 
 
 def _genre_motif(genre_id: int):
@@ -156,12 +152,7 @@ def synthesize_pair(cfg: SyntheticPairConfig, genre_id: int):
     t_len = cfg.clip_frames
     t = np.arange(t_len)
 
-    tempos = [b for b in TEMPO_CHOICES if cfg.tempo_low <= b <= cfg.tempo_high]
-    if not tempos:
-        raise FormatError(
-            f"no supported tempo in [{cfg.tempo_low}, {cfg.tempo_high}]; choices are {TEMPO_CHOICES}"
-        )
-    tempo = int(rng.choice(tempos))
+    tempo = int(rng.choice(TEMPO_CHOICES))
     period = (60 * FPS) // tempo  # frames per beat, exact for TEMPO_CHOICES
 
     music = np.zeros((t_len, MUSIC_WIDTH))

@@ -151,16 +151,18 @@ def check_training_ranges(cfg) -> None:
         raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
 
 
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with configurable betas; state is kept per parameter."""
 
-    def __init__(self, params, lr: float = 1e-3, betas: tuple = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3, betas: tuple = (0.9, 0.999)):
         self.params = list(params)
         if not self.params:
             raise ContractError("optimizer needs at least one parameter")
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -182,4 +184,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)

@@ -434,7 +434,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # [kernel, in_channels, out_channels]. Same-style padding keeps
 # out_len = ceil(in_len / stride); the transposed op is the adjoint of the
 # same-padded conv that maps in_len * stride rows to in_len, so it returns
-# exactly in_len * stride rows.
+# exactly in_len * stride rows. Both are linear maps without a bias; a
+# caller adds its bias with ``+``.
 
 
 def _same_pad(t_in: int, kernel: int, stride: int):
@@ -473,7 +474,7 @@ def _conv_shapes(op: str, x: Tensor, w: Tensor, stride: int):
     return kernel, c_in, c_out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     kernel, c_in, c_out = _conv_shapes("conv1d", x, w, stride)
     cols = _windows(x.data, kernel, stride)
     w2 = w.data.reshape(kernel * c_in, c_out)
@@ -483,11 +484,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         gw = (cols.reshape(-1, kernel * c_in).T @ g.reshape(-1, c_out)).reshape(w.shape)
         return gx, gw
 
-    out = _node(cols @ w2, (x, w), vjp)
-    return out if b is None else add(out, b)
+    return _node(cols @ w2, (x, w), vjp)
 
 
-def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
+def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     kernel, c_in, c_out = _conv_shapes("conv1d_transpose", x, w, stride)
     wt = np.swapaxes(w.data, 0, 1).reshape(c_in, kernel * c_out)
 
@@ -496,8 +496,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) ->
         gw = x.data.reshape(-1, c_in).T @ gcols.reshape(-1, kernel * c_out)
         return gcols @ wt.T, np.swapaxes(gw.reshape(c_in, kernel, c_out), 0, 1)
 
-    out = _node(_overlap_add(x.data @ wt, x.shape[-2] * stride, kernel, stride), (x, w), vjp)
-    return out if b is None else add(out, b)
+    return _node(_overlap_add(x.data @ wt, x.shape[-2] * stride, kernel, stride), (x, w), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def pipeline(tmp_path_factory):
         "gadg": {"model_dim": 32, "num_heads": 4, "num_layers": 1, "ff_dim": 64,
                  "state_dim": 4, "num_genres": 2, "steps": 120, "batch_size": 2,
                  "lr": 1e-3},
-        "data": {"clip_frames": 1024, "num_genres": 2},
+        "data": {"clip_frames": 1024},
     }))
     data = root / "data"
     assert cli_main(["synth-data", "--config", str(cfg), "--out", str(data),
@@ -247,11 +247,11 @@ def _grad_cases(rng):
         ("index_arrays",
          lambda xs, ids=rng.integers(0, 7, size=4): xs[0][np.arange(4), ids],
          [r((4, 7))]),
-        ("conv1d", lambda xs: T.conv1d(xs[0], xs[1], xs[2], stride=1),
+        ("conv1d", lambda xs: T.conv1d(xs[0], xs[1], stride=1) + xs[2],
          [r((8, 3)), r((3, 3, 4)), r(4)]),
-        ("conv1d_strided", lambda xs: T.conv1d(xs[0], xs[1], xs[2], stride=2),
+        ("conv1d_strided", lambda xs: T.conv1d(xs[0], xs[1], stride=2) + xs[2],
          [r((2, 8, 3)), r((4, 3, 4)), r(4)]),
-        ("conv1d_transpose", lambda xs: T.conv1d_transpose(xs[0], xs[1], xs[2], stride=2),
+        ("conv1d_transpose", lambda xs: T.conv1d_transpose(xs[0], xs[1], stride=2) + xs[2],
          [r((4, 3)), r((4, 3, 2)), r(2)]),
         ("linear_recurrence", lambda xs: T.linear_recurrence(xs[0], xs[1]),
          [rng.uniform(0.1, 0.95, size=(7, 3)), r((7, 3))]),

@@ -23,7 +23,7 @@ TINY = {
         "model_dim": 32, "num_heads": 4, "ff_dim": 64, "state_dim": 4,
         "steps": 15, "batch_size": 2,
     },
-    "data": {"clip_frames": 96, "num_genres": 4},
+    "data": {"clip_frames": 96},
 }
 
 
@@ -74,6 +74,13 @@ def test_synth_data_zero_clips_warns(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_synth_data_rejects_negative_clips(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["synth-data", "--out", str(out), "--clips", "-3"]) == 2
+    assert "--clips" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_hfdq_outputs(env):
     losses = read_loss_log(str(env["codec"]) + ".losses.txt")
     assert losses.shape == (TINY["hfdq"]["steps"],)
@@ -116,6 +123,21 @@ def test_malformed_manifest_entry_is_validation_error(tmp_path, capsys, entry):
     assert main(["train-hfdq", "--data", str(data),
                  "--out-ckpt", str(tmp_path / "c.json")]) == 2
     assert "clip entry 0" in capsys.readouterr().err
+
+
+def test_manifest_genre_must_match_music_header(env, tmp_path, capsys):
+    data = tmp_path / "d"
+    data.mkdir()
+    for name in ("clip_0001.music.txt", "clip_0001.motion.txt"):
+        (data / name).write_bytes((env["data"] / name).read_bytes())
+    (data / "manifest.json").write_text(json.dumps({"version": 1, "clips": [
+        {"music": "clip_0001.music.txt", "motion": "clip_0001.motion.txt", "genre_id": 2}]}))
+    ckpt = tmp_path / "c.json"
+    assert main(["train-hfdq", "--config", str(env["cfg"]), "--data", str(data),
+                 "--out-ckpt", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "clip entry 0" in err and "genre_id 2" in err and "says 1" in err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("stage, override, field", [
@@ -227,6 +249,36 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     assert not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("stage, edit", [
+    ("gen", "extra_config_key"), ("gen", "mistyped_config_value"),
+    ("gen", "no_params"), ("gen", "size_not_shape"),
+    ("codec", "mistyped_config_value"), ("codec", "no_params"), ("codec", "size_not_shape"),
+])
+def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
+    doc = json.loads(env[stage].read_text())
+    if edit == "extra_config_key":
+        doc["config"]["colour"] = "red"
+    elif edit == "mistyped_config_value":
+        key = "model_dim" if stage == "gen" else "feature_dim"
+        doc["config"][key] = str(doc["config"][key])
+    elif edit == "no_params":
+        del doc["params"]
+    else:
+        entry = next(iter(doc["params"].values()))
+        entry["shape"] = [len(entry["data"]) + 1]
+    bad = tmp_path / "bad.ckpt.json"
+    bad.write_text(json.dumps(doc))
+    ckpts = dict(env, **{stage: bad})
+    out = tmp_path / "x.motion.txt"
+    code = main(["generate", "--gadg-ckpt", str(ckpts["gen"]),
+                 "--hfdq-ckpt", str(ckpts["codec"]),
+                 "--music", str(env["data"] / "clip_0001.music.txt"),
+                 "--genre", "1", "--frames", "32", "--out", str(out)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unknown_genre_lists_valid_ids(env, tmp_path, capsys):
     code = main(["generate", "--gadg-ckpt", str(env["gen"]),
                  "--hfdq-ckpt", str(env["codec"]),
@@ -320,8 +372,7 @@ def test_unwritable_output_is_io_error(env):
 
 def test_config_env_var_used(tmp_path, monkeypatch):
     cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps({"data": {"clip_frames": 48, "num_genres": 2},
-                               "gadg": {"num_genres": 2}}))
+    cfg.write_text(json.dumps({"data": {"clip_frames": 48}, "gadg": {"num_genres": 2}}))
     monkeypatch.setenv("DANCEGEN_CONFIG", str(cfg))
     out = tmp_path / "d"
     assert main(["synth-data", "--out", str(out), "--clips", "2"]) == 0

@@ -175,7 +175,6 @@ def test_fsq_config_validation():
     with pytest.raises(ConfigError):
         FsqConfig(feature_dim=0)
     assert FsqConfig().codebook_size == 4375
-    assert FsqConfig.paper_scale().feature_dim == 512
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def test_builders_return_stage_configs():
     g = cfg.gadg_config()
     assert isinstance(g, GadgConfig)
     assert g.codebook_size == 4375
-    assert g.num_genres == cfg.data.num_genres
+    assert g.num_genres == cfg.gadg.num_genres
     t = cfg.generator_train_config()
     assert isinstance(t, GeneratorTrainConfig)
     assert t.seed == cfg.data.seed
@@ -57,11 +57,11 @@ def test_window_invariant():
         config_from_dict({"gadg": {"autoregressive_step": 4, "window_step": 8}})
 
 
-def test_genre_count_invariant():
-    with pytest.raises(ConfigError, match="num_genres"):
-        config_from_dict({"gadg": {"num_genres": 3}})
-    cfg = config_from_dict({"gadg": {"num_genres": 3}, "data": {"num_genres": 3}})
-    assert cfg.gadg.num_genres == 3
+def test_genre_count_is_stated_once():
+    cfg = config_from_dict({"gadg": {"num_genres": 3}})
+    assert cfg.gadg_config().num_genres == 3
+    with pytest.raises(ConfigError, match=r"'num_genres'.*'data'"):
+        config_from_dict({"gadg": {"num_genres": 3}, "data": {"num_genres": 3}})
 
 
 def test_round_trip_through_file(tmp_path):
@@ -109,7 +109,7 @@ SECTION_KEYS = {
     "gadg": {"model_dim", "num_genres", "num_layers", "num_heads", "ff_dim", "dropout",
              "state_dim", "conv_kernel", "expand", "autoregressive_step", "window_step",
              "max_positions", "steps", "batch_size", "lr"},
-    "data": {"seed", "clip_frames", "num_genres"},
+    "data": {"seed", "clip_frames"},
     "metrics": {"bas_sigma"},
 }
 
@@ -121,6 +121,7 @@ def test_section_key_sets_are_pinned():
 
 @pytest.mark.parametrize("section, key", [
     ("gadg", "top_k"), ("gadg", "temperature"), ("metrics", "feature_kinds"),
+    ("data", "num_genres"),
     # stage fields that are fixed or derived, never settable
     ("hfdq", "betas"), ("hfdq", "seed"), ("gadg", "seed"), ("gadg", "head_gain"),
     ("gadg", "music_dim"), ("gadg", "frames_per_code"), ("gadg", "codebook_size"),

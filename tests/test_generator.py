@@ -244,14 +244,6 @@ def test_scan_single_step_closed_form():
     np.testing.assert_allclose(y.data.reshape(-1), want, atol=1e-12)
 
 
-def test_scan_skip_term():
-    x, a, b, c, dt = scan_case(5, t_len=6, d=2, n=3)
-    skip = np.array([0.7, -1.3])
-    y0 = selective_scan(x, a, b, c, dt)
-    y1 = selective_scan(x, a, b, c, dt, skip=skip)
-    np.testing.assert_allclose(y1.data, y0.data + skip * x, atol=1e-12)
-
-
 def test_scan_gradients():
     x, a, b, c, dt = scan_case(7, t_len=5, d=2, n=3)
 

@@ -101,18 +101,14 @@ def test_all_genre_pairs_distinct(g1, g2):
     assert np.abs(a.frames[:, 3:] - b.frames[:, 3:]).max() > 0.1
 
 
-def test_tempo_120_gives_15_frame_beats():
-    cfg = MU.SyntheticPairConfig(seed=0, tempo_low=120, tempo_high=120)
-    music, _ = MU.synthesize_pair(cfg, genre_id=0)
+@pytest.mark.parametrize("seed", range(8))
+def test_beats_form_a_whole_frame_grid(seed):
+    music, _ = MU.synthesize_pair(MU.SyntheticPairConfig(seed=seed), genre_id=seed % 4)
     beats = music.beat_frames()
+    period = beats[1] - beats[0]
     assert beats[0] == 0
-    np.testing.assert_array_equal(np.diff(beats), 15)
-
-
-def test_tempo_range_without_choices_rejected():
-    cfg = MU.SyntheticPairConfig(seed=0, tempo_low=61, tempo_high=71)
-    with pytest.raises(FormatError, match="tempo"):
-        MU.synthesize_pair(cfg, 0)
+    np.testing.assert_array_equal(np.diff(beats), period)
+    assert 60 * MU.FPS / period in MU.TEMPO_CHOICES
 
 
 def test_synthetic_motion_is_valid_for_fk():

@@ -232,7 +232,7 @@ def test_conv1d_gradients(seed, kernel, stride):
     x = rand(rng, 8, 3)
     w = rand(rng, kernel, 3, 4)
     b = rand(rng, 4)
-    check_gradients(lambda xs: T.conv1d(xs[0], xs[1], xs[2], stride=stride), [x, w, b])
+    check_gradients(lambda xs: T.conv1d(xs[0], xs[1], stride=stride) + xs[2], [x, w, b])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -241,14 +241,14 @@ def test_conv1d_batched_gradients(seed):
     x = rand(rng, 2, 8, 3)
     w = rand(rng, 4, 3, 4)
     b = rand(rng, 4)
-    check_gradients(lambda xs: T.conv1d(xs[0], xs[1], xs[2], stride=2), [x, w, b])
+    check_gradients(lambda xs: T.conv1d(xs[0], xs[1], stride=2) + xs[2], [x, w, b])
 
 
 def test_conv1d_kernel_one_is_identity():
     rng = np.random.default_rng(0)
     x = rand(rng, 10, 5)
     w = np.eye(5)[None]  # kernel size 1, identity channel map
-    out = T.conv1d(Tensor(x), Tensor(w), None, stride=1)
+    out = T.conv1d(Tensor(x), Tensor(w), stride=1)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -257,7 +257,7 @@ def test_conv1d_output_lengths():
     x = Tensor(rand(rng, 240, 2))
     w = Tensor(rand(rng, 4, 2, 2))
     for expected in (120, 60, 30):
-        x = T.conv1d(x, w, None, stride=2)
+        x = T.conv1d(x, w, stride=2)
         assert x.shape == (expected, 2)
 
 
@@ -268,7 +268,7 @@ def test_conv1d_transpose_gradients(seed, kernel, stride):
     x = rand(rng, 6, 3)
     w = rand(rng, kernel, 3, 4)
     b = rand(rng, 4)
-    check_gradients(lambda xs: T.conv1d_transpose(xs[0], xs[1], xs[2], stride=stride), [x, w, b])
+    check_gradients(lambda xs: T.conv1d_transpose(xs[0], xs[1], stride=stride) + xs[2], [x, w, b])
 
 
 def test_conv1d_transpose_restores_length():
@@ -276,7 +276,7 @@ def test_conv1d_transpose_restores_length():
     x = Tensor(rand(rng, 30, 2))
     w = Tensor(rand(rng, 4, 2, 2))
     for expected in (60, 120, 240):
-        x = T.conv1d_transpose(x, w, None, stride=2)
+        x = T.conv1d_transpose(x, w, stride=2)
         assert x.shape == (expected, 2)
 
 
@@ -287,7 +287,7 @@ KERNEL_STRIDES = [(1, 2), (2, 3), (1, 3), (4, 2), (3, 1)]
 def test_conv1d_transpose_length_is_in_len_times_stride(kernel, stride):
     w = Tensor(np.ones((kernel, 3, 2)))
     for t_in in (1, 4, 5):
-        out = T.conv1d_transpose(Tensor(np.ones((t_in, 3))), w, None, stride)
+        out = T.conv1d_transpose(Tensor(np.ones((t_in, 3))), w, stride)
         assert out.shape == (t_in * stride, 2)
 
 
@@ -297,16 +297,16 @@ def test_conv1d_transpose_is_adjoint_of_conv1d(kernel, stride):
     x = rand(rng, 2, 5 * stride, 4)  # conv1d maps 5*stride rows to 5
     y = rand(rng, 2, 5, 3)
     w = rand(rng, kernel, 3, 4)
-    lhs = np.vdot(T.conv1d(Tensor(x), Tensor(np.swapaxes(w, 1, 2)), None, stride).data, y)
-    rhs = np.vdot(x, T.conv1d_transpose(Tensor(y), Tensor(w), None, stride).data)
+    lhs = np.vdot(T.conv1d(Tensor(x), Tensor(np.swapaxes(w, 1, 2)), stride).data, y)
+    rhs = np.vdot(x, T.conv1d_transpose(Tensor(y), Tensor(w), stride).data)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeError):
-        T.conv1d(Tensor(np.zeros((8, 3))), Tensor(np.zeros((4, 2, 4))), None, stride=2)
+        T.conv1d(Tensor(np.zeros((8, 3))), Tensor(np.zeros((4, 2, 4))), stride=2)
     with pytest.raises(ShapeError):
-        T.conv1d_transpose(Tensor(np.zeros((8, 3))), Tensor(np.zeros((4, 2, 4))), None, stride=2)
+        T.conv1d_transpose(Tensor(np.zeros((8, 3))), Tensor(np.zeros((4, 2, 4))), stride=2)
 
 
 # steps = 1 leaves the adjoint an empty decay[1:] to pad; a nonzero
