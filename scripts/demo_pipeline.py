@@ -54,10 +54,10 @@ def main():
     data = root / "data"
     run(["synth-data", *cfg_args, "--out", str(data), "--clips", str(args.clips)])
 
-    codec = root / "codec.ckpt.json"
+    codec = root / "codec.ckpt"
     run(["train-hfdq", *cfg_args, "--data", str(data), "--out-ckpt", str(codec)])
 
-    gen = root / "generator.ckpt.json"
+    gen = root / "generator.ckpt"
     run(["train-gadg", *cfg_args, "--data", str(data),
          "--hfdq-ckpt", str(codec), "--out-ckpt", str(gen)])
 

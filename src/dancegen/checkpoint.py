@@ -1,9 +1,15 @@
-"""Versioned JSON checkpoint container shared by both training stages.
+"""Versioned checkpoint container shared by both training stages.
 
-A checkpoint stores the stage tag, the config dict that built the model,
-a hash of that config, and every named parameter as shape + flat float
-list. JSON float round-tripping is exact for float64, so save/load is
-lossless.
+A checkpoint (v2) is an uncompressed ``.npz`` archive written by
+``np.savez``: one float64 array member per named parameter, plus a
+``__header__`` member holding the JSON of the format tag, version, stage,
+the config dict that built the model and a hash of that config. Arrays are
+stored as raw float64 bytes, so save/load is lossless, and two saves of one
+model give identical files. Nothing in the archive needs pickle.
+
+v1 checkpoints, one JSON document whose ``params`` map each name to a
+shape and a flat float list, are still read. The reader tells the two
+apart by the zip signature at the start of the file, not by its suffix.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -18,7 +25,9 @@ from .errors import DancegenError, DependencyError, FormatError
 from .textfile import atomic_write, read_json_object
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+HEADER = "__header__"
+ZIP_SIGNATURE = b"PK"
 
 
 def config_hash(config: dict) -> str:
@@ -27,47 +36,66 @@ def config_hash(config: dict) -> str:
 
 
 def save_checkpoint(path, stage: str, config: dict, named_params) -> None:
-    params = {}
-    for name, p in named_params:
-        params[name] = {
-            "shape": list(p.data.shape),
-            "data": [float(v) for v in p.data.reshape(-1)],
-        }
-    doc = {
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "stage": stage,
         "config": config,
         "config_hash": config_hash(config),
-        "params": params,
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
+    members = {HEADER: np.array(json.dumps(header))}
+    members.update((name, np.asarray(p.data, dtype=np.float64)) for name, p in named_params)
+    # a file handle, not a path: given a path, np.savez appends ".npz"
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, allow_pickle=False, **members)
 
 
-def load_checkpoint(path, expected_stage: str):
-    """Returns (config, params: dict name -> ndarray) of an
-    ``expected_stage`` checkpoint. A parameter whose data are not numbers
-    or whose size does not fit its shape is a FormatError naming ``path``."""
-    if not os.path.exists(path):
-        raise DependencyError(f"checkpoint not found: {path}")
-    doc = read_json_object(path, "checkpoint")
-    if doc.get("format") != CHECKPOINT_FORMAT:
+def _check_header(path, doc: dict, version: int, expected_stage: str) -> dict:
+    """``doc`` if it is a ``version`` checkpoint of ``expected_stage`` with
+    a config object, else a FormatError naming ``path``."""
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if doc.get("version") != version:
         raise FormatError(
-            f"{path}: unsupported checkpoint version {doc.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}"
+            f"{path}: unsupported checkpoint version {doc.get('version')!r}, expected {version}"
         )
     stage = doc.get("stage")
     if stage != expected_stage:
         raise FormatError(f"{path}: stage {stage!r} does not match expected {expected_stage!r}")
+    if not isinstance(doc.get("config"), dict):
+        raise FormatError(f"{path}: checkpoint config must be a JSON object")
+    return doc
+
+
+def load_checkpoint(path, expected_stage: str):
+    """Returns (config, params: dict name -> float64 ndarray) of an
+    ``expected_stage`` checkpoint, v2 or v1. A truncated or malformed file,
+    a v2 member that is not float64, a v1 parameter whose data are not
+    numbers or whose size does not fit its shape, and a parameter with a
+    non-finite value are each a FormatError naming ``path``."""
+    if not os.path.exists(path):
+        raise DependencyError(f"checkpoint not found: {path}")
     try:
-        params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                  for name, entry in doc["params"].items()}
-        return doc["config"], params
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        with open(path, "rb") as fh:
+            if fh.read(len(ZIP_SIGNATURE)) == ZIP_SIGNATURE:  # v2
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as archive:
+                    doc = _check_header(path, json.loads(archive[HEADER].item()), 2, expected_stage)
+                    params = {name: archive[name] for name in archive.files if name != HEADER}
+            else:
+                doc = _check_header(path, read_json_object(path, "checkpoint"), 1, expected_stage)
+                params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                          for name, entry in doc["params"].items()}
+    except DancegenError:
+        raise
+    except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed checkpoint: {type(e).__name__}: {e}") from None
+    for name, value in params.items():
+        if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+            raise FormatError(f"{path}: parameter {name} is not a float64 array")
+        if not np.isfinite(value).all():
+            raise FormatError(f"{path}: parameter {name} holds non-finite values")
+    return doc["config"], params
 
 
 def load_model(path, stage: str, build):
@@ -94,5 +122,5 @@ def load_model(path, stage: str, build):
                 f"{path}: parameter {name}: checkpoint shape {params[name].shape} "
                 f"!= model shape {p.data.shape}"
             )
-        p.data = params[name].copy()
+        p.data = params[name]
     return model

@@ -493,6 +493,9 @@ def save_codec(path, model: CodecModel, loss_cfg: LossConfig | None = None) -> N
 
 
 def _codec_from_config(config: dict) -> CodecModel:
+    keys = codec_config_dict(FsqConfig(), BodyPartSplit.default()).keys()
+    if config.keys() != keys:
+        raise ConfigError(f"codec config keys {sorted(config)} are not {sorted(keys)}")
     cfg = FsqConfig(levels=tuple(config["levels"]), feature_dim=config["feature_dim"])
     split = BodyPartSplit(tuple(config["lower_joints"]), tuple(config["upper_joints"]))
     return CodecModel(cfg, split)

@@ -2,7 +2,9 @@
 latent-code, loss-log and report files: a ``#format <name> v<n>`` line,
 further ``#key value`` header lines, then one record per line. Readers
 share one header check and one style of line-numbered ``FormatError``.
-The JSON documents (config, manifest, checkpoint) share one reader too.
+The JSON documents (config, manifest, v1 checkpoint) share one reader
+too, and every artifact, binary checkpoints included, is written through
+``atomic_write``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ from .errors import FormatError
 
 
 @contextlib.contextmanager
-def atomic_write(path):
-    """A text file handle whose contents replace ``path`` (``os.replace``)
-    only when the block ends cleanly; on an exception the old ``path`` stays
-    as it was. The temp file sits beside ``path`` and is made by a plain
-    ``open``, so the result gets the usual mode rather than mkstemp's 0600."""
+def atomic_write(path, mode: str = "w"):
+    """A file handle, text or (``mode="wb"``) binary, whose contents replace
+    ``path`` (``os.replace``) only when the block ends cleanly; on an
+    exception the old ``path`` stays as it was. The temp file sits beside
+    ``path`` and is made by a plain ``open``, so the result gets the usual
+    mode rather than mkstemp's 0600."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from checkpoint_files import read_v2, write_v1_checkpoint, write_v2
 from dancegen.cli import main, read_loss_log
 from dancegen.codec import LatentCodeSequence, read_codes_file, write_codes_file
 from dancegen.metrics import read_report_file
@@ -35,10 +36,10 @@ def env(tmp_path_factory):
     cfg.write_text(json.dumps(TINY))
     data = root / "data"
     assert main(["synth-data", "--config", str(cfg), "--out", str(data), "--clips", "6"]) == 0
-    codec = root / "codec.ckpt.json"
+    codec = root / "codec.ckpt"
     assert main(["train-hfdq", "--config", str(cfg), "--data", str(data),
                  "--out-ckpt", str(codec)]) == 0
-    gen = root / "gen.ckpt.json"
+    gen = root / "gen.ckpt"
     assert main(["train-gadg", "--config", str(cfg), "--data", str(data),
                  "--hfdq-ckpt", str(codec), "--out-ckpt", str(gen)]) == 0
     return {"root": root, "cfg": cfg, "data": data, "codec": codec, "gen": gen}
@@ -85,9 +86,9 @@ def test_train_hfdq_outputs(env):
     losses = read_loss_log(str(env["codec"]) + ".losses.txt")
     assert losses.shape == (TINY["hfdq"]["steps"],)
     assert losses[-1] < losses[0]
-    doc = json.loads(env["codec"].read_text())
-    assert doc["stage"] == "codec"
-    assert doc["config"]["velocity_weight"] == 0.5
+    header, _ = read_v2(env["codec"])
+    assert header["stage"] == "codec"
+    assert header["config"]["velocity_weight"] == 0.5
 
 
 def test_train_gadg_outputs(env):
@@ -252,22 +253,35 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
 @pytest.mark.parametrize("stage, edit", [
     ("gen", "extra_config_key"), ("gen", "mistyped_config_value"),
     ("gen", "no_params"), ("gen", "size_not_shape"),
+    ("codec", "extra_config_key"),
     ("codec", "mistyped_config_value"), ("codec", "no_params"), ("codec", "size_not_shape"),
+    ("gen", "truncated"), ("codec", "truncated"),
+    ("gen", "no_header"), ("codec", "no_header"),
+    ("gen", "unknown_version"), ("codec", "unknown_version"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
-    doc = json.loads(env[stage].read_text())
+    header, arrays = read_v2(env[stage])
     if edit == "extra_config_key":
-        doc["config"]["colour"] = "red"
+        key, value = ("colour", "red") if stage == "gen" else ("feature_dims", 512)
+        header["config"][key] = value
     elif edit == "mistyped_config_value":
         key = "model_dim" if stage == "gen" else "feature_dim"
-        doc["config"][key] = str(doc["config"][key])
+        header["config"][key] = str(header["config"][key])
     elif edit == "no_params":
-        del doc["params"]
+        arrays = {}
+    elif edit == "size_not_shape":
+        name = next(iter(arrays))
+        arrays[name] = np.append(arrays[name], 0.0)
+    elif edit == "no_header":
+        header = None
+    elif edit == "unknown_version":
+        header["version"] = 3
+    bad = tmp_path / "bad.ckpt"
+    if edit == "truncated":  # a copy killed halfway
+        data = env[stage].read_bytes()
+        bad.write_bytes(data[:len(data) // 2])
     else:
-        entry = next(iter(doc["params"].values()))
-        entry["shape"] = [len(entry["data"]) + 1]
-    bad = tmp_path / "bad.ckpt.json"
-    bad.write_text(json.dumps(doc))
+        write_v2(bad, header, arrays)
     ckpts = dict(env, **{stage: bad})
     out = tmp_path / "x.motion.txt"
     code = main(["generate", "--gadg-ckpt", str(ckpts["gen"]),
@@ -276,6 +290,30 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
                  "--genre", "1", "--frames", "32", "--out", str(out)])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["v1_null", "v2_nan", "v2_float32"])
+def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
+    header, arrays = read_v2(env["codec"])
+    name = list(arrays)[-1]
+    bad = tmp_path / "bad.ckpt"
+    if edit == "v1_null":
+        write_v1_checkpoint(bad, header["stage"], header["config"], arrays)
+        doc = json.loads(bad.read_text())
+        doc["params"][name]["data"] = [None] * arrays[name].size
+        bad.write_text(json.dumps(doc))
+    else:
+        arrays[name] = (np.full_like(arrays[name], np.nan) if edit == "v2_nan"
+                        else arrays[name].astype(np.float32))
+        write_v2(bad, header, arrays)
+    codes = tmp_path / "zero.codes.txt"
+    write_codes_file(codes, LatentCodeSequence(np.zeros(4, dtype=np.int64),
+                                               np.zeros(4, dtype=np.int64), 4375))
+    out = tmp_path / "x.motion.txt"
+    assert main(["decode", "--ckpt", str(bad), "--in", str(codes), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"parameter {name}" in err
     assert not out.exists()
 
 

@@ -41,6 +41,7 @@ from dancegen.errors import (
 )
 from dancegen.tensor import Tensor
 
+from checkpoint_files import write_v1_checkpoint
 from gradcheck import check_gradients
 
 LEVELS = (7, 5, 5, 5, 5)
@@ -368,6 +369,37 @@ def test_codec_checkpoint_stage_guard(tmp_path):
         load_checkpoint(path, expected_stage="generator")
     with pytest.raises(DependencyError):
         C.load_codec(tmp_path / "missing.json")
+
+
+def test_v1_checkpoint_loads_bitwise_equal_to_v2(tmp_path):
+    model = CodecModel(small_cfg(), seed=3)
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    write_v1_checkpoint(tmp_path / "v1.ckpt", C.CODEC_STAGE,
+                        C.codec_config_dict(model.cfg, model.split), arrays)
+    C.save_codec(tmp_path / "v2.ckpt", model)
+    v1 = dict(C.load_codec(tmp_path / "v1.ckpt").named_parameters())
+    v2 = dict(C.load_codec(tmp_path / "v2.ckpt").named_parameters())
+    assert list(v1) == list(v2) == list(arrays)
+    for name, value in arrays.items():
+        for loaded in (v1[name].data, v2[name].data):
+            assert loaded.dtype == np.float64 and loaded.shape == value.shape
+            assert loaded.tobytes() == value.tobytes()
+
+
+def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "codec.ckpt"
+    C.save_codec(path, CodecModel(small_cfg(), seed=1))
+    old = path.read_bytes()
+
+    def dies_partway(fh, **members):
+        fh.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", dies_partway)
+    with pytest.raises(OSError, match="disk full"):
+        C.save_codec(path, CodecModel(small_cfg(), seed=2))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["codec.ckpt"]
 
 
 def test_utilization_counts_unique_codes():

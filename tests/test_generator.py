@@ -9,6 +9,8 @@ recurrent generation state against the teacher-forced forward and a
 full-prefix generation loop.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from dancegen.errors import (
     ShapeError,
 )
 from dancegen.generator import (
+    GENERATOR_STAGE,
     Expert,
     GadgConfig,
     GadgModel,
@@ -46,6 +49,7 @@ from dancegen.generator import (
 )
 from dancegen.tensor import Tensor
 
+from checkpoint_files import write_v1_checkpoint
 from gradcheck import check_gradients
 
 
@@ -659,6 +663,27 @@ def test_generator_checkpoint_round_trip(tmp_path):
         a = model.forward(pooled, 0, upper_in, lower_in)[0].data
         b = loaded.forward(pooled, 0, upper_in, lower_in)[0].data
     assert np.array_equal(a, b)
+
+
+def test_v1_generator_checkpoint_loads_bitwise_equal_to_v2(tmp_path):
+    model = GadgModel(tiny_cfg(), seed=4)
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    write_v1_checkpoint(tmp_path / "v1.ckpt", GENERATOR_STAGE, asdict(model.cfg), arrays)
+    save_generator(tmp_path / "v2.ckpt", model)
+    v1 = dict(load_generator(tmp_path / "v1.ckpt").named_parameters())
+    v2 = dict(load_generator(tmp_path / "v2.ckpt").named_parameters())
+    assert list(v1) == list(v2) == list(arrays)
+    for name, value in arrays.items():
+        for loaded in (v1[name].data, v2[name].data):
+            assert loaded.dtype == np.float64 and loaded.shape == value.shape
+            assert loaded.tobytes() == value.tobytes()
+
+
+def test_generator_checkpoint_bytes_are_deterministic(tmp_path):
+    model = GadgModel(tiny_cfg(), seed=5)
+    save_generator(tmp_path / "a.ckpt", model)
+    save_generator(tmp_path / "b.ckpt", GadgModel(tiny_cfg(), seed=5))
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_generator_checkpoint_rejects_other_stage(tmp_path):
