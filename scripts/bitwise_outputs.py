@@ -13,15 +13,22 @@ and top-k 8, 32 codes), the gradient of every parameter of the seed-0
 desk-config generator and codec after one training-mode loss on fixed
 inputs (a 30-code teacher-forced sequence, four 240-frame clips), and
 forward kinematics, split/merge and the finite differences, with their
-input gradients, on a [8, 240, 147] batch. The parameter gradients catch
+input gradients, on a [8, 240, 147] batch. It also holds the five report
+floats (fid_k, fid_g, div_k, div_g, bas) of ``dancegen evaluate``, run
+through ``dancegen.cli.main`` on 8 generated against 8 reference synthetic
+240-frame clips with their music. The parameter gradients catch
 a reordered sum that the trained loss logs can round away. Run
 each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +93,33 @@ def dump(src: str, out: str) -> None:
         (y * y).sum().backward()
         res[name], res[name + "_grad"] = y.data, leaf.grad
     res["split_upper"], res["split_lower"] = M.split_body(x)
+    res["evaluate_report"] = evaluate_report(dg)
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
+
+
+def evaluate_report(dg) -> np.ndarray:
+    """fid_k, fid_g, div_k, div_g and bas of the evaluate command on 8 against
+    8 synthetic clip pairs."""
+    from dancegen.cli import main
+    from dancegen.metrics import read_report_file
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side, first_seed in (("gen", 100), ("ref", 200)):
+            (root / side).mkdir()
+            for i in range(8):
+                music, clip = dg.synthesize_pair(
+                    dg.SyntheticPairConfig(seed=first_seed + i, clip_frames=240), i % GENRES)
+                dg.write_music_file(root / side / f"clip_{i:04d}.music.txt", music)
+                dg.write_motion_file(root / side / f"clip_{i:04d}.motion.txt", clip)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["evaluate", "--generated-dir", str(root / "gen"),
+                         "--reference-dir", str(root / "ref"),
+                         "--out-report", str(root / "report.txt")])
+        if code != 0:
+            raise RuntimeError(f"dancegen evaluate exited {code}")
+        report = read_report_file(root / "report.txt")
+    return np.array([report[k] for k in ("fid_k", "fid_g", "div_k", "div_g", "bas")])
 
 
 def compare(a: str, b: str) -> int:

@@ -40,8 +40,8 @@ from .metrics import (
     GaussianStats,
     beat_align_score,
     diversity,
-    extract_features,
     frechet_distance,
+    position_features,
     write_report_file,
 )
 from .motion import MotionSequence, read_motion_file, write_motion_file
@@ -224,50 +224,43 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _feature_matrix(paths, kind):
-    return np.stack([extract_features(read_motion_file(p).frames, kind) for p in paths])
-
-
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    gen_dir, ref_dir = Path(args.generated_dir), Path(args.reference_dir)
-    gen_paths = sorted(gen_dir.glob("*.motion.txt"))
-    ref_paths = sorted(ref_dir.glob("*.motion.txt"))
+    gen_paths = sorted(Path(args.generated_dir).glob("*.motion.txt"))
+    ref_paths = sorted(Path(args.reference_dir).glob("*.motion.txt"))
     for name, paths in (("generated", gen_paths), ("reference", ref_paths)):
         if len(paths) < 2:
             raise InputError(
                 f"{name} directory needs at least two .motion.txt files for "
                 f"covariance fits, found {len(paths)}"
             )
-    report = {"n_sequences": len(gen_paths), "config_hash": config_hash(cfg.to_dict())}
-    for kind, fid_key, div_key in (
-        ("kinetic", "fid_k", "div_k"), ("geometric", "fid_g", "div_g"),
-    ):
-        gen_feats = _feature_matrix(gen_paths, kind)
-        ref_feats = _feature_matrix(ref_paths, kind)
+    music_paths = [p.with_name(p.name.replace(".motion.txt", ".music.txt")) for p in gen_paths]
+    lonely = [p for p, music in zip(gen_paths, music_paths) if not music.exists()]
+    if lonely:
+        raise InputError(
+            f"{lonely[0]} has no .music.txt beside it; beat alignment needs music "
+            "beside every generated motion"
+        )
+    # One read and one FK pass per clip; only its features and BAS score are kept.
+    kinds = {"kinetic": ("fid_k", "div_k"), "geometric": ("fid_g", "div_g")}
+    sigma, n = cfg.metrics.bas_sigma, len(gen_paths)
+    feats, scores = {kind: [] for kind in kinds}, []
+    for i, path in enumerate(gen_paths + ref_paths):
+        pos = MO.forward_kinematics(read_motion_file(path).frames)
+        for kind in kinds:
+            feats[kind].append(position_features(pos, kind))
+        if i < n:
+            beats = read_music_file(music_paths[i]).beat_frames()
+            scores.append(beat_align_score(beats, beat_extract(pos), sigma=sigma))
+    report = {"n_sequences": n, "config_hash": config_hash(cfg.to_dict()),
+              "bas": float(np.mean(scores))}
+    for kind, (fid_key, div_key) in kinds.items():
+        gen_feats, ref_feats = np.stack(feats[kind][:n]), np.stack(feats[kind][n:])
         report[fid_key] = frechet_distance(
             GaussianStats.from_samples(gen_feats),
             GaussianStats.from_samples(ref_feats),
         )
         report[div_key] = diversity(gen_feats)
-    scores = []
-    for motion_path in gen_paths:
-        music_path = motion_path.with_name(
-            motion_path.name.replace(".motion.txt", ".music.txt")
-        )
-        if not music_path.exists():
-            continue
-        music = read_music_file(music_path)
-        clip = read_motion_file(motion_path)
-        kin = beat_extract(MO.forward_kinematics(clip.frames))
-        scores.append(
-            beat_align_score(music.beat_frames(), kin, sigma=cfg.metrics.bas_sigma)
-        )
-    if not scores:
-        raise InputError(
-            "no .music.txt files alongside generated motions; beat alignment needs music"
-        )
-    report["bas"] = float(np.mean(scores))
     write_report_file(args.out_report, report)
     print(
         f"fid_k {report['fid_k']:.6f}  fid_g {report['fid_g']:.6f}  "

@@ -6,6 +6,11 @@ statistics; they are internally reproducible but not comparable to any
 external extractor. Kinetic features summarize per-joint derivative
 magnitudes; geometric features summarize a fixed table of joint-pair
 distances and joint-triple angles.
+
+``position_features(pos, kind)`` computes either kind from FK joint
+positions; ``extract_features(motion, kind)`` runs FK on the motion's
+frames and calls it. ``evaluate`` runs FK once per clip and takes both
+kinds and the kinematic beats from those positions.
 """
 
 from __future__ import annotations
@@ -34,21 +39,14 @@ ANGLE_TRIPLES = (
 )
 
 
-def _positions(motion) -> np.ndarray:
-    frames = getattr(motion, "frames", motion)
-    return MO.forward_kinematics(np.asarray(frames, dtype=np.float64))
+def position_features(pos: np.ndarray, kind: str) -> np.ndarray:
+    """Fixed-width feature vector summarizing FK joint positions [T, 24, 3].
 
-
-def extract_features(motion, kind: str) -> np.ndarray:
-    """Fixed-width feature vector summarizing FK joint positions over time.
-
-    ``kind`` selects "kinetic" (72 wide) or "geometric" (32 wide). Motion
-    may be a MotionSequence or a raw [T, 147] frame array. Kinetic needs
-    four frames for the third derivative; geometric needs two for the
-    spread statistics.
+    ``kind`` selects "kinetic" (72 wide) or "geometric" (32 wide). Kinetic
+    needs four frames for the third derivative; geometric needs two for
+    the spread statistics.
     """
     if kind == "kinetic":
-        pos = _positions(motion)
         if pos.shape[0] < 4:
             raise ShapeError(f"kinetic features need >= 4 frames, got {pos.shape[0]}")
         out = []
@@ -58,7 +56,6 @@ def extract_features(motion, kind: str) -> np.ndarray:
             out.append(np.linalg.norm(d, axis=-1).mean(axis=0))
         return np.concatenate(out)
     if kind == "geometric":
-        pos = _positions(motion)
         if pos.shape[0] < 2:
             raise ShapeError(f"geometric features need >= 2 frames, got {pos.shape[0]}")
         tracks = []
@@ -74,6 +71,13 @@ def extract_features(motion, kind: str) -> np.ndarray:
         stats = [(t.mean(), t.std()) for t in tracks]
         return np.array([s for pair in stats for s in pair])
     raise InputError(f"unknown feature kind {kind!r}; expected 'kinetic' or 'geometric'")
+
+
+def extract_features(motion, kind: str) -> np.ndarray:
+    """``position_features`` of the motion's FK joint positions. Motion may
+    be a MotionSequence or a raw [T, 147] frame array."""
+    frames = np.asarray(getattr(motion, "frames", motion), dtype=np.float64)
+    return position_features(MO.forward_kinematics(frames), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -297,14 +297,13 @@ def expm1_over(a: Tensor) -> Tensor:
     u = a.data
     small = np.abs(u) < 1e-6
     safe = np.where(small, 1.0, u)
-    val = np.where(small, 1.0 + u / 2.0 + u * u / 6.0, np.expm1(safe) / safe)
+    us = u[small]  # the series runs on these entries only; closed form elsewhere
+    val = np.asarray(np.expm1(safe) / safe)
+    val[small] = 1.0 + us / 2.0 + us * us / 6.0
 
     def vjp(g):
-        dval = np.where(
-            small,
-            0.5 + u / 3.0 + u * u / 8.0,
-            (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe),
-        )
+        dval = np.asarray((np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe))
+        dval[small] = 0.5 + us / 3.0 + us * us / 8.0
         return (g * dval,)
 
     return _node(val, (a,), vjp)

@@ -12,11 +12,23 @@ import numpy as np
 import pytest
 
 from checkpoint_files import read_v2, write_v1_checkpoint, write_v2
+from dancegen import cli
+from dancegen import motion as MO
+from dancegen.checkpoint import config_hash
 from dancegen.cli import main, read_loss_log
 from dancegen.codec import LatentCodeSequence, read_codes_file, write_codes_file
-from dancegen.metrics import read_report_file
+from dancegen.config import load_config
+from dancegen.metrics import (
+    GaussianStats,
+    beat_align_score,
+    diversity,
+    extract_features,
+    frechet_distance,
+    read_report_file,
+    write_report_file,
+)
 from dancegen.motion import FRAME_WIDTH, MotionSequence, read_motion_file, write_motion_file
-from dancegen.music import read_music_file
+from dancegen.music import beat_extract, read_music_file
 
 TINY = {
     "hfdq": {"steps": 25, "batch_size": 2, "feature_dim": 16},
@@ -365,6 +377,88 @@ def test_evaluate_reference_against_itself(env, tmp_path):
     assert report["div_k"] > 0.0
     assert 0.0 < report["bas"] <= 1.0
     assert len(report["config_hash"]) == 16
+
+
+def copy_clips(src, dst, names):
+    dst.mkdir()
+    for name in names:
+        for ext in ("motion", "music"):
+            (dst / f"{name}.{ext}.txt").write_bytes((src / f"{name}.{ext}.txt").read_bytes())
+    return dst
+
+
+def evaluate_report_per_kind(gen_paths, ref_paths, cfg):
+    """The report as evaluate built it with one read per feature kind and
+    a separate read for beat alignment: the oracle of the one-pass path."""
+    report = {"n_sequences": len(gen_paths), "config_hash": config_hash(cfg.to_dict())}
+    for kind, fid_key, div_key in (("kinetic", "fid_k", "div_k"), ("geometric", "fid_g", "div_g")):
+        gen, ref = (np.stack([extract_features(read_motion_file(p).frames, kind) for p in paths])
+                    for paths in (gen_paths, ref_paths))
+        report[fid_key] = frechet_distance(GaussianStats.from_samples(gen),
+                                           GaussianStats.from_samples(ref))
+        report[div_key] = diversity(gen)
+    scores = []
+    for path in gen_paths:
+        music = read_music_file(path.with_name(path.name.replace(".motion.txt", ".music.txt")))
+        kin = beat_extract(MO.forward_kinematics(read_motion_file(path).frames))
+        scores.append(beat_align_score(music.beat_frames(), kin, sigma=cfg.metrics.bas_sigma))
+    report["bas"] = float(np.mean(scores))
+    return report
+
+
+def test_evaluate_matches_per_kind_oracle(env, tmp_path):
+    gen_dir = copy_clips(env["data"], tmp_path / "gen", [f"clip_{i:04d}" for i in range(4)])
+    report_path, oracle_path = tmp_path / "report.txt", tmp_path / "oracle.txt"
+    assert main(["evaluate", "--config", str(env["cfg"]),
+                 "--generated-dir", str(gen_dir), "--reference-dir", str(env["data"]),
+                 "--out-report", str(report_path)]) == 0
+    want = evaluate_report_per_kind(sorted(gen_dir.glob("*.motion.txt")),
+                                    sorted(env["data"].glob("*.motion.txt")),
+                                    load_config(str(env["cfg"])))
+    got = read_report_file(report_path)
+    for key in ("fid_k", "fid_g", "div_k", "div_g", "bas"):
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+    assert got["fid_k"] > 0.0
+    write_report_file(oracle_path, want)
+    assert report_path.read_bytes() == oracle_path.read_bytes()
+
+
+def counting(monkeypatch, module, name):
+    """Replaces module.name with a wrapper that logs each call's first argument."""
+    calls, original = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def test_evaluate_reads_and_runs_fk_once_per_clip(env, tmp_path, monkeypatch):
+    gen_dir = copy_clips(env["data"], tmp_path / "gen", [f"clip_{i:04d}" for i in range(3)])
+    reads = counting(monkeypatch, cli, "read_motion_file")
+    fk = counting(monkeypatch, MO, "forward_kinematics")
+    assert main(["evaluate", "--config", str(env["cfg"]),
+                 "--generated-dir", str(gen_dir), "--reference-dir", str(env["data"]),
+                 "--out-report", str(tmp_path / "r.txt")]) == 0
+    clips = sorted(gen_dir.glob("*.motion.txt")) + sorted(env["data"].glob("*.motion.txt"))
+    assert sorted(map(str, reads)) == sorted(map(str, clips))
+    assert len(fk) == len(clips) == 9
+
+
+def test_evaluate_rejects_partial_music_before_parsing(env, tmp_path, monkeypatch, capsys):
+    gen_dir = copy_clips(env["data"], tmp_path / "gen", ["clip_0000", "clip_0001"])
+    (gen_dir / "clip_0002.motion.txt").write_bytes(
+        (env["data"] / "clip_0002.motion.txt").read_bytes())
+    reads = counting(monkeypatch, cli, "read_motion_file")
+    report_path = tmp_path / "r.txt"
+    assert main(["evaluate", "--config", str(env["cfg"]),
+                 "--generated-dir", str(gen_dir), "--reference-dir", str(env["data"]),
+                 "--out-report", str(report_path)]) == 2
+    assert "clip_0002.motion.txt has no .music.txt" in capsys.readouterr().err
+    assert reads == []
+    assert not report_path.exists()
 
 
 def test_evaluate_needs_music_siblings(env, tmp_path):

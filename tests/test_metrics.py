@@ -20,6 +20,7 @@ from dancegen.metrics import (
     diversity,
     extract_features,
     frechet_distance,
+    position_features,
     read_report_file,
     write_report_file,
 )
@@ -95,6 +96,13 @@ def test_geometric_matches_bruteforce_statistics():
     # arccos is ill-conditioned where joints are nearly collinear, so the
     # vectorized and looped routes disagree by ~1e-9 on straight-limb angles
     np.testing.assert_allclose(feats, expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "geometric"])
+def test_extract_features_is_position_features_of_fk(kind):
+    clip = dance_clip(seed=5, genre=2)
+    want = position_features(MO.forward_kinematics(clip), kind)
+    assert extract_features(clip, kind).tobytes() == want.tobytes()
 
 
 def test_geometric_rest_pose_has_zero_spread():
