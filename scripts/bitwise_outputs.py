@@ -16,9 +16,10 @@ forward kinematics, split/merge and the finite differences, with their
 input gradients, on a [8, 240, 147] batch. It also holds the five report
 floats (fid_k, fid_g, div_k, div_g, bas) of ``dancegen evaluate``, run
 through ``dancegen.cli.main`` on 8 generated against 8 reference synthetic
-240-frame clips with their music. The parameter gradients catch
-a reordered sum that the trained loss logs can round away. Run
-each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
+240-frame clips with their music, and the output and five input gradients
+of ``selective_scan`` on a case with some channels at a = -1e-13, where
+|dt * a| < 1e-6 takes the series branch, from a seeded state h. The parameter gradients catch a reordered sum
+that the trained loss logs can round away. Run each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
 
@@ -94,6 +95,7 @@ def dump(src: str, out: str) -> None:
         res[name], res[name + "_grad"] = y.data, leaf.grad
     res["split_upper"], res["split_lower"] = M.split_body(x)
     res["evaluate_report"] = evaluate_report(dg)
+    res["scan_series"] = scan_series(T)
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
@@ -120,6 +122,23 @@ def evaluate_report(dg) -> np.ndarray:
             raise RuntimeError(f"dancegen evaluate exited {code}")
         report = read_report_file(root / "report.txt")
     return np.array([report[k] for k in ("fid_k", "fid_g", "div_k", "div_g", "bas")])
+
+
+def scan_series(T) -> np.ndarray:
+    """The scan's output and its x, a, b, c and dt gradients, flattened into
+    one vector, on [12, 6] inputs with 4 states whose even channels take the
+    series branch of phi1."""
+    from dancegen.generator import selective_scan
+
+    rng = np.random.default_rng(11)
+    x, b, c = rng.standard_normal((12, 6)), rng.standard_normal((12, 4)), rng.standard_normal((12, 4))
+    a = -np.abs(rng.standard_normal((6, 4))) - 0.05
+    a[::2] = -1e-13
+    dt = rng.uniform(0.01, 0.5, size=(12, 6))
+    leaves = [T.Tensor(v, requires_grad=True) for v in (x, a, b, c, dt)]
+    y = selective_scan(*leaves, cache={"h": rng.standard_normal((6, 4))})
+    (y * T.Tensor(rng.standard_normal(y.shape))).sum().backward()
+    return np.concatenate([y.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
 
 
 def compare(a: str, b: str) -> int:

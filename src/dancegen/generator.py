@@ -128,53 +128,64 @@ def build_sliding_mask(t_latent: int, a_step: int, s: int, first: int = 0) -> np
 # Selective state-space pieces
 
 
-def mamba_discretize(a, b, dt):
-    """Zero-order-hold discretization of h' = a h + b x, elementwise.
-
-    abar = exp(dt*a); bbar = dt * b * phi1(dt*a) with phi1(u) = (e^u - 1)/u,
-    which is the exact matrix formula restricted to a diagonal state matrix.
-    dt must be strictly positive.
-    """
-    at, pa = T.wrap(a)
-    bt, pb = T.wrap(b)
-    dtt, pd = T.wrap(dt)
-    if (dtt.data <= 0).any():
-        raise ContractError("discretization step dt must be strictly positive")
-    u = dtt * at
-    abar = T.exp(u)
-    bbar = dtt * bt * T.expm1_over(u)
-    if pa and pb and pd:
-        return abar.data, bbar.data
-    return abar, bbar
-
-
 def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
     """y_t = c_t . h_t with h_t = abar_t h_{t-1} + bbar_t x_t, h_{-1} = 0.
 
     Shapes: x [T, D], a_diag [D, N], b_seq [T, N], c_seq [T, N], dt [T, D].
-    Training, teacher forcing and generation all run the one sequential
-    ``T.linear_recurrence``; under ``no_grad`` it simply records no tape.
+    The zero-order-hold discretization of h' = a h + b x with a diagonal
+    state matrix gives abar = exp(u) and bbar = dt * b * phi1(u), where
+    u = dt * a and phi1(u) = (e^u - 1)/u; dt must be strictly positive.
     The ``cache`` dict carries the scan between calls: its ``"h"`` entry,
     the last state [D, N] of an earlier call, replaces h_{-1} = 0, and this
     call's last state is stored back into it.
+
+    The scan is one tape node, and training, teacher forcing and
+    generation all run it; under ``no_grad`` it keeps nothing. Its VJP
+    keeps three [T, D, N] arrays, h, abar and phi1(u), and recomputes u,
+    dt * b and bbar, which are one multiply each. The adjoint of the
+    recurrence is the same loop backwards in time, lam_t = g_t +
+    abar_{t+1} lam_{t+1}, with gdrive = lam and gabar = lam * h_{t-1}.
     """
     cache = {} if cache is None else cache
-    x, _ = T.wrap(x)
-    a_diag, _ = T.wrap(a_diag)
-    b_seq, _ = T.wrap(b_seq)
-    c_seq, _ = T.wrap(c_seq)
-    dt, _ = T.wrap(dt)
+    x, a_diag, b_seq, c_seq, dt = (T.wrap(v)[0] for v in (x, a_diag, b_seq, c_seq, dt))
     t_len, d_inner = x.shape
     n = a_diag.shape[-1]
-    abar, bbar = mamba_discretize(
-        a_diag.reshape((1, d_inner, n)),
-        b_seq.reshape((t_len, 1, n)),
-        dt.reshape((t_len, d_inner, 1)),
-    )
-    drive = bbar * x.reshape((t_len, d_inner, 1))
-    h = T.linear_recurrence(abar, drive, cache.get("h"))
-    cache["h"] = h.data[-1]
-    return T.reduce_sum(h * c_seq.reshape((t_len, 1, n)), axis=-1)
+    if t_len < 1:
+        raise ShapeError("selective scan needs a nonempty time axis")
+    if (dt.data <= 0).any():
+        raise ContractError("discretization step dt must be strictly positive")
+    zero = np.zeros((d_inner, n))
+    h0 = zero if cache.get("h") is None else np.asarray(cache["h"], dtype=np.float64)
+    if h0.shape != zero.shape:
+        raise ShapeError(f"initial state must be {zero.shape}, got {h0.shape}")
+    xr = x.data.reshape((t_len, d_inner, 1))
+    ar = a_diag.data.reshape((1, d_inner, n))
+    br = b_seq.data.reshape((t_len, 1, n))
+    cr = c_seq.data.reshape((t_len, 1, n))
+    dtr = dt.data.reshape((t_len, d_inner, 1))
+    u = dtr * ar
+    abar = np.exp(u)
+    phi = T.phi1(u)
+    h = T._recurrence_loop(abar, dtr * br * phi * xr, h0)
+    cache["h"] = h[-1]
+
+    def vjp(g):
+        lam = T._recurrence_loop(np.concatenate([abar[1:], zero[None]])[::-1],
+                                 (g[..., None] * cr)[::-1], zero)[::-1]
+        dtb = dtr * br
+        g_bbar = lam * xr
+        g_dtb = g_bbar * phi
+        g_u = g_bbar * dtb * T.phi1(dtr * ar, abar) + lam * np.concatenate([h0[None], h[:-1]]) * abar
+        gdt = T._unbroadcast(g_u * ar, dtr.shape) + T._unbroadcast(g_dtb * br, dtr.shape)
+        return (
+            T._unbroadcast(lam * (dtb * phi), xr.shape).reshape(x.shape),
+            T._unbroadcast(g_u * dtr, ar.shape).reshape(a_diag.shape),
+            T._unbroadcast(g_dtb * dtr, br.shape).reshape(b_seq.shape),
+            T._unbroadcast(g[..., None] * h, cr.shape).reshape(c_seq.shape),
+            gdt.reshape(dt.shape),
+        )
+
+    return T._node((h * cr).sum(axis=-1), (x, a_diag, b_seq, c_seq, dt), vjp)
 
 
 def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache: dict) -> Tensor:

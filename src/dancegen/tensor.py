@@ -288,25 +288,33 @@ def silu(a: Tensor) -> Tensor:
     return mul(a, sigmoid(a))
 
 
-def expm1_over(a: Tensor) -> Tensor:
-    """(e^u - 1) / u, with a series branch for |u| < 1e-6.
+def phi1(u: np.ndarray, exp_u: np.ndarray | None = None) -> np.ndarray:
+    """phi1(u) = (e^u - 1) / u elementwise or, given ``exp_u`` = e^u, its
+    derivative (e^u (u - 1) + 1) / u^2.
 
-    The series keeps the value and derivative finite through u = 0, which
-    the discretized state-space update needs for very small step sizes.
+    Both closed forms lose their digits near u = 0 and divide by zero at
+    it, so the entries with |u| < 1e-6 take the series 1 + u/2 + u^2/6 or
+    1/2 + u/3 + u^2/8 instead. Only those entries pay for the series, and
+    when there are none the closed form runs on ``u`` as it is.
     """
-    u = a.data
     small = np.abs(u) < 1e-6
-    safe = np.where(small, 1.0, u)
-    us = u[small]  # the series runs on these entries only; closed form elsewhere
-    val = np.asarray(np.expm1(safe) / safe)
-    val[small] = 1.0 + us / 2.0 + us * us / 6.0
+    any_small = small.any()
+    safe = np.where(small, 1.0, u) if any_small else u
+    if exp_u is None:
+        out = np.asarray(np.expm1(safe) / safe)
+    else:
+        out = np.asarray((exp_u * (safe - 1.0) + 1.0) / (safe * safe))
+    if any_small:
+        us = u[small]
+        out[small] = (1.0 + us / 2.0 + us * us / 6.0 if exp_u is None
+                      else 0.5 + us / 3.0 + us * us / 8.0)
+    return out
 
-    def vjp(g):
-        dval = np.asarray((np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe))
-        dval[small] = 0.5 + us / 3.0 + us * us / 8.0
-        return (g * dval,)
 
-    return _node(val, (a,), vjp)
+def expm1_over(a: Tensor) -> Tensor:
+    """phi1(u) = (e^u - 1) / u as a taped op, finite through u = 0."""
+    u = a.data
+    return _node(phi1(u), (a,), lambda g: (g * phi1(u, np.exp(u)),))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from dancegen.generator import (
     GadgModel,
     GeneratorTrainConfig,
     build_sliding_mask,
-    mamba_discretize,
     pool_music,
     row_window,
     selective_scan,
@@ -44,6 +43,7 @@ from dancegen.motion import Skeleton, forward_kinematics, read_motion_file, rot6
 from dancegen.music import SyntheticPairConfig, random_motion_clip, synthesize_pair
 from dancegen.tensor import Tensor, backward
 from gradcheck import check_gradients
+from scan_oracle import mamba_discretize
 
 LEVELS = (7, 5, 5, 5, 5)
 CODEBOOK = 4375

@@ -4,11 +4,13 @@ cross entropy, training smoke, generation determinism, checkpointing.
 
 The mask is checked exhaustively against the row-window formula; the
 discretization against hand-computed scalar values; the scan against its
-single-step closed form, central differences and its own prefixes; the
+single-step closed form, central differences, its own prefixes and,
+bitwise, the same scan composed from taped ops; the
 recurrent generation state against the teacher-forced forward and a
 full-prefix generation loop.
 """
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -33,12 +35,12 @@ from dancegen.generator import (
     GadgModel,
     GenerationState,
     GeneratorTrainConfig,
+    MambaBlock,
     _sample_code,
     build_sliding_mask,
     cross_entropy,
     generate,
     load_generator,
-    mamba_discretize,
     pool_music,
     row_window,
     save_generator,
@@ -47,10 +49,12 @@ from dancegen.generator import (
     teacher_forced_loss,
     train_generator,
 )
+from dancegen.nn import Rng
 from dancegen.tensor import Tensor
 
 from checkpoint_files import write_v1_checkpoint
 from gradcheck import check_gradients
+from scan_oracle import composed_scan, mamba_discretize
 
 
 def tiny_cfg(**overrides):
@@ -262,6 +266,82 @@ def test_scan_is_prefix_stable():
     x2[7:] += 100.0
     y2 = selective_scan(x2, a, b, c, dt).data
     assert np.array_equal(y[:7], y2[:7])
+
+
+def _scan_with_grads(scan, arrays):
+    """The output and the five input gradients of ``scan`` under a fixed
+    random projection of its output."""
+    leaves = [Tensor(v.copy(), requires_grad=True) for v in arrays]
+    y = scan(*leaves)
+    probe = np.random.default_rng(99).standard_normal(y.shape)
+    (y * Tensor(probe)).sum().backward()
+    return [y.data] + [leaf.grad for leaf in leaves]
+
+
+# name: (seed, T', D, N, series channels, seeded h)
+ORACLE_CASES = {
+    **{f"random-{s}": (s, None, None, None, False, False) for s in range(20, 32)},
+    "series": (40, 9, 6, 4, True, False),
+    "series-seeded": (41, 9, 6, 4, True, True),
+    "seeded": (42, None, None, None, False, True),
+    "one-step": (43, 1, None, None, False, False),
+    "one-step-seeded": (44, 1, 5, 3, False, True),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_scan_node_matches_composed_path_bitwise(name):
+    # the one-node scan runs the composed path's float ops in its order,
+    # forward and backward, so output and gradients agree to the bit
+    seed, t_len, d, n, series, seeded = ORACLE_CASES[name]
+    x, a, b, c, dt = scan_case(seed, t_len=t_len, d=d, n=n)
+    if series:
+        # every other channel at a = -1e-13 takes phi1's series branch,
+        # the channels beside them its closed form
+        a[::2] = -1e-13
+        small = np.abs(dt[:, :, None] * a[None]) < 1e-6
+        assert small.any() and not small.all()
+    initial = np.random.default_rng(seed).normal(size=a.shape) if seeded else None
+    node = _scan_with_grads(
+        lambda *v: selective_scan(*v, cache={} if initial is None else {"h": initial}),
+        [x, a, b, c, dt])
+    oracle = _scan_with_grads(lambda *v: composed_scan(*v, initial=initial), [x, a, b, c, dt])
+    for what, got, want in zip(("y", "x", "a", "b", "c", "dt"), node, oracle):
+        assert np.array_equal(got, want), what
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.3])
+def test_scan_rejects_nonpositive_dt(bad):
+    x, a, b, c, dt = scan_case(12, t_len=5, d=3, n=2)
+    dt[3, 1] = bad
+    with pytest.raises(ContractError):
+        selective_scan(x, a, b, c, dt)
+
+
+def test_scan_rejects_cached_state_of_wrong_shape():
+    x, a, b, c, dt = scan_case(13, t_len=5, d=3, n=2)
+    with pytest.raises(ShapeError):
+        selective_scan(x, a, b, c, dt, cache={"h": np.zeros((3, 3))})
+
+
+def test_mamba_block_training_forward_keeps_few_scan_sized_arrays():
+    # the scan's tape keeps h, abar and phi1(u); a composed scan keeps about
+    # eleven [T', d_inner, N] arrays per block, which sets training's peak memory
+    cfg = GadgConfig()
+    block = MambaBlock(cfg, Rng(0).child("mamba"))
+    x = Tensor(np.random.default_rng(0).standard_normal((30, cfg.model_dim)), requires_grad=True)
+    scan_array = 30 * cfg.expand * cfg.model_dim * cfg.state_dim * 8
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = block(x, GenerationState())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert y.requires_grad
+    assert held < 6 * scan_array, f"held {held / scan_array:.1f} scan-sized arrays"
 
 
 # ---------------------------------------------------------------------------
