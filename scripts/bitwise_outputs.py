@@ -18,7 +18,10 @@ floats (fid_k, fid_g, div_k, div_g, bas) of ``dancegen evaluate``, run
 through ``dancegen.cli.main`` on 8 generated against 8 reference synthetic
 240-frame clips with their music, and the output and five input gradients
 of ``selective_scan`` on a case with some channels at a = -1e-13, where
-|dt * a| < 1e-6 takes the series branch, from a seeded state h. The parameter gradients catch a reordered sum
+|dt * a| < 1e-6 takes the series branch, from a seeded state h, and the
+sha256 of the checkpoint files ``save_codec`` and ``save_generator`` write
+for the seed-0 desk models, which catch any change to a checkpoint's
+header or its config_hash. The parameter gradients catch a reordered sum
 that the trained loss logs can round away. Run each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
@@ -26,6 +29,7 @@ does. ``compare`` exits 1 if any entry differs in a single bit.
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import sys
 import tempfile
@@ -96,6 +100,8 @@ def dump(src: str, out: str) -> None:
     res["split_upper"], res["split_lower"] = M.split_body(x)
     res["evaluate_report"] = evaluate_report(dg)
     res["scan_series"] = scan_series(T)
+    res["codec_checkpoint_sha256"] = checkpoint_sha256(dg.save_codec, model)
+    res["generator_checkpoint_sha256"] = checkpoint_sha256(dg.save_generator, generator)
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
@@ -139,6 +145,14 @@ def scan_series(T) -> np.ndarray:
     y = selective_scan(*leaves, cache={"h": rng.standard_normal((6, 4))})
     (y * T.Tensor(rng.standard_normal(y.shape))).sum().backward()
     return np.concatenate([y.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
+
+
+def checkpoint_sha256(save, model) -> np.ndarray:
+    """The sha256 digest, as 32 uint8, of the file ``save(path, model)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save(path, model)
+        return np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), dtype=np.uint8)
 
 
 def compare(a: str, b: str) -> int:

@@ -67,7 +67,7 @@ def write_loss_log(path, losses) -> None:
 def read_loss_log(path):
     _, rows, body_start = TF.read_text_file(path, LOSSES_FORMAT, LOSSES_VERSION)
     return np.array([TF.parse_value(path, line_no, float, value)
-                     for line_no, _, value in TF.keyed_rows(rows, body_start)])
+                     for line_no, _, value in TF.keyed_rows(path, rows, body_start)])
 
 
 def _load_pairs(data_dir: Path):

@@ -22,7 +22,6 @@ from . import tensor as T
 from . import textfile as TF
 from .checkpoint import load_model, save_checkpoint
 from .errors import ConfigError, FormatError, InputError, OutOfRangeError, ShapeError
-from .motion import BodyPartSplit
 from .nn import Adam, Linear, Module, Rng, check_training_ranges, fan_in_uniform
 from .tensor import Parameter, Tensor
 
@@ -272,19 +271,18 @@ def _conv_params(rng: Rng, kernel: int, cin: int, cout: int, gain: float = 1.0):
 class CodecModel(Module):
     """Both body-part branches plus the shared quantizer grid."""
 
-    def __init__(self, cfg: FsqConfig, split: BodyPartSplit | None = None, seed: int = 0):
+    def __init__(self, cfg: FsqConfig, seed: int = 0):
         super().__init__()
         self.cfg = cfg
-        self.split = split or BodyPartSplit.default()
         rng = Rng(seed).child("codec")
-        self.upper_encoder = ConvEncoder(self.split.upper_width, cfg, rng.child("upper_encoder"))
-        self.upper_decoder = ConvDecoder(self.split.upper_cols, cfg, rng.child("upper_decoder"))
-        self.lower_encoder = ConvEncoder(self.split.lower_width, cfg, rng.child("lower_encoder"))
-        self.lower_decoder = ConvDecoder(self.split.lower_cols, cfg, rng.child("lower_decoder"))
+        self.upper_encoder = ConvEncoder(MO.UPPER_COLS.size, cfg, rng.child("upper_encoder"))
+        self.upper_decoder = ConvDecoder(MO.UPPER_COLS, cfg, rng.child("upper_decoder"))
+        self.lower_encoder = ConvEncoder(MO.LOWER_COLS.size, cfg, rng.child("lower_encoder"))
+        self.lower_decoder = ConvDecoder(MO.LOWER_COLS, cfg, rng.child("lower_decoder"))
 
     def _quantize(self, frames: Tensor):
         """Frames -> ((upper, lower) quantized levels, (upper, lower) integer levels)."""
-        upper, lower = MO.split_body(frames, self.split)
+        upper, lower = MO.split_body(frames)
         qu, cu = fsq_quantize(self.upper_encoder(upper), self.cfg.levels)
         ql, cl = fsq_quantize(self.lower_encoder(lower), self.cfg.levels)
         return (qu, ql), (cu, cl)
@@ -293,7 +291,7 @@ class CodecModel(Module):
         """Quantized levels of both branches -> merged frames."""
         upper_hat = self.upper_decoder(normalize_levels(qu, self.cfg.levels))
         lower_hat = self.lower_decoder(normalize_levels(ql, self.cfg.levels))
-        return MO.merge_body(upper_hat, lower_hat, self.split)
+        return MO.merge_body(upper_hat, lower_hat)
 
     def reconstruct(self, frames: Tensor):
         """Full differentiable pass; returns (frames_hat, upper codes, lower codes)."""
@@ -364,7 +362,7 @@ def read_codes_file(path) -> LatentCodeSequence:
         path, CODES_FORMAT, CODES_VERSION, ("latent_len", "codebook_size")
     )
     streams = {}
-    for line_no, label, rest in TF.keyed_rows(rows, body_start):
+    for line_no, label, rest in TF.keyed_rows(path, rows, body_start):
         values = rest.split()
         if label not in ("upper", "lower"):
             raise FormatError(f"{path}: line {line_no}: unknown stream {label!r}")
@@ -475,30 +473,34 @@ def train_codec(
 CODEC_STAGE = "codec"
 
 
-def codec_config_dict(cfg: FsqConfig, split: BodyPartSplit, loss_cfg: LossConfig | None = None) -> dict:
+def codec_config_dict(cfg: FsqConfig, loss_cfg: LossConfig | None = None) -> dict:
+    """The checkpoint's config. The body split is fixed, but it is still
+    written so the saved bytes and ``config_hash`` stay as they were."""
     loss_cfg = loss_cfg or LossConfig()
     return {
         "levels": list(cfg.levels),
         "feature_dim": cfg.feature_dim,
-        "lower_joints": list(split.lower),
-        "upper_joints": list(split.upper),
+        "lower_joints": list(MO.LOWER_JOINTS),
+        "upper_joints": list(MO.UPPER_JOINTS),
         "velocity_weight": loss_cfg.velocity_weight,
         "accel_weight": loss_cfg.accel_weight,
     }
 
 
 def save_codec(path, model: CodecModel, loss_cfg: LossConfig | None = None) -> None:
-    config = codec_config_dict(model.cfg, model.split, loss_cfg)
+    config = codec_config_dict(model.cfg, loss_cfg)
     save_checkpoint(path, CODEC_STAGE, config, model.named_parameters())
 
 
 def _codec_from_config(config: dict) -> CodecModel:
-    keys = codec_config_dict(FsqConfig(), BodyPartSplit.default()).keys()
-    if config.keys() != keys:
-        raise ConfigError(f"codec config keys {sorted(config)} are not {sorted(keys)}")
+    expected = codec_config_dict(FsqConfig())
+    if config.keys() != expected.keys():
+        raise ConfigError(f"codec config keys {sorted(config)} are not {sorted(expected)}")
+    for key in ("lower_joints", "upper_joints"):
+        if config[key] != expected[key]:
+            raise ConfigError(f"{key} {config[key]} is not the body split {expected[key]}")
     cfg = FsqConfig(levels=tuple(config["levels"]), feature_dim=config["feature_dim"])
-    split = BodyPartSplit(tuple(config["lower_joints"]), tuple(config["upper_joints"]))
-    return CodecModel(cfg, split)
+    return CodecModel(cfg)
 
 
 def load_codec(path) -> CodecModel:

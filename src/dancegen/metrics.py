@@ -192,7 +192,7 @@ def read_report_file(path) -> dict:
     except OSError as e:
         raise FormatError(f"cannot read report {path}: {e}") from None
     report = {}
-    for line_no, key, value in TF.keyed_rows(rows, body_start):
+    for line_no, key, value in TF.keyed_rows(path, rows, body_start):
         if key not in REPORT_FIELDS:
             raise FormatError(f"{path}: line {line_no}: unknown report field {key!r}")
         kind = {"n_sequences": int, "config_hash": str}.get(key, float)

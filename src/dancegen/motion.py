@@ -11,8 +11,6 @@ ndarrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -72,78 +70,19 @@ JOINT_COLS.flags.writeable = False
 REST_FRAME = np.concatenate([np.zeros(3), np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], JOINT_COUNT)])
 REST_FRAME.flags.writeable = False
 
-# Body-part routing for the two-branch codec. The lower set carries the
-# root translation as well, so widths are 3 + 9*6 = 57 and 15*6 = 90.
+# Body-part routing for the two-branch codec. UPPER_COLS/LOWER_COLS are
+# each part's frame columns, joint by joint in set order; the lower part
+# carries the root translation first, so widths are 15*6 = 90 and
+# 3 + 9*6 = 57. MERGE_ORDER gathers [upper | lower] back into frame order.
 LOWER_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
 UPPER_JOINTS = tuple(j for j in range(JOINT_COUNT) if j not in LOWER_JOINTS)
+UPPER_COLS = JOINT_COLS[list(UPPER_JOINTS)].reshape(-1)
+LOWER_COLS = np.concatenate([np.arange(3), JOINT_COLS[list(LOWER_JOINTS)].reshape(-1)])
+MERGE_ORDER = np.argsort(np.concatenate([UPPER_COLS, LOWER_COLS]))
+for _const in (PARENTS, DEFAULT_OFFSETS, UPPER_COLS, LOWER_COLS, MERGE_ORDER):
+    _const.flags.writeable = False
 
 _DEGENERACY_EPS = 1e-8
-
-
-@dataclass
-class Skeleton:
-    """Joint tree plus rest-pose bone offsets."""
-
-    parents: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.parents = np.asarray(self.parents, dtype=int)
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        n = self.parents.shape[0]
-        if self.offsets.shape != (n, 3):
-            raise ShapeError(f"offsets must be ({n}, 3), got {self.offsets.shape}")
-        if self.parents[0] != -1:
-            raise ContractError("joint 0 must be the root (parent -1)")
-        for j in range(1, n):
-            if not 0 <= self.parents[j] < j:
-                raise ContractError(f"parent of joint {j} must precede it, got {self.parents[j]}")
-
-    @classmethod
-    def default(cls) -> "Skeleton":
-        return cls(PARENTS.copy(), DEFAULT_OFFSETS.copy())
-
-    @property
-    def joint_count(self) -> int:
-        return self.parents.shape[0]
-
-
-@dataclass
-class BodyPartSplit:
-    """Disjoint lower/upper joint sets covering the whole skeleton.
-
-    ``upper_cols``/``lower_cols`` are each part's frame columns, joint by
-    joint in set order, with the root translation first in the lower part;
-    ``merge_order`` gathers [upper | lower] columns back into frame order.
-    """
-
-    lower: tuple
-    upper: tuple
-
-    def __post_init__(self):
-        self.lower = tuple(self.lower)
-        self.upper = tuple(self.upper)
-        overlap = set(self.lower) & set(self.upper)
-        if overlap:
-            raise ContractError(f"body-part sets overlap on joints {sorted(overlap)}")
-        covered = sorted(self.lower + self.upper)
-        if covered != list(range(JOINT_COUNT)):
-            raise ContractError("body-part sets must partition all 24 joints")
-        self.upper_cols = JOINT_COLS[list(self.upper)].reshape(-1)
-        self.lower_cols = np.concatenate([np.arange(3), JOINT_COLS[list(self.lower)].reshape(-1)])
-        self.merge_order = np.argsort(np.concatenate([self.upper_cols, self.lower_cols]))
-
-    @classmethod
-    def default(cls) -> "BodyPartSplit":
-        return cls(LOWER_JOINTS, UPPER_JOINTS)
-
-    @property
-    def lower_width(self) -> int:
-        return self.lower_cols.size
-
-    @property
-    def upper_width(self) -> int:
-        return self.upper_cols.size
 
 
 class MotionSequence:
@@ -203,7 +142,7 @@ def _cross(u: Tensor, v: Tensor) -> Tensor:
     return u[..., yzx] * v[..., zxy] - u[..., zxy] * v[..., yzx]
 
 
-def forward_kinematics(frames, skeleton: Skeleton | None = None):
+def forward_kinematics(frames):
     """Joint positions [..., T, 24, 3] from frames [..., T, 147].
 
     Composition: the root's global rotation is its own rotation and its
@@ -212,27 +151,23 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
     Positions are built root-relative and the translation is added once at
     the end, so shifting the translation shifts every joint exactly.
     """
-    if skeleton is None:
-        skeleton = Skeleton.default()
     x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"frames must end in width {FRAME_WIDTH}, got {x.shape}")
     if x.ndim < 2:
         raise ShapeError("frames need at least a [T, width] shape")
 
-    n = skeleton.joint_count
     trans = x[..., :3]
-    rots = x[..., 3:3 + 6 * n].reshape(x.shape[:-1] + (n, 6))
-    rmats = rot6d_to_matrix(rots)  # [..., T, n, 3, 3]
+    rots = x[..., 3:].reshape(x.shape[:-1] + (JOINT_COUNT, 6))
+    rmats = rot6d_to_matrix(rots)  # [..., T, 24, 3, 3]
 
     globals_ = [rmats[..., 0, :, :]]
-    local = [None] * n  # root-relative positions [..., T, 3]
-    local[0] = Tensor(np.zeros(x.shape[:-1] + (3,)))
-    for j in range(1, n):
-        parent = skeleton.parents[j]
-        offset = Tensor(skeleton.offsets[j].reshape(3, 1))
+    local = [Tensor(np.zeros(x.shape[:-1] + (3,)))]  # root-relative positions [..., T, 3]
+    for j in range(1, JOINT_COUNT):
+        parent = PARENTS[j]
+        offset = Tensor(DEFAULT_OFFSETS[j].reshape(3, 1))
         step = (globals_[parent] @ offset).reshape(x.shape[:-1] + (3,))
-        local[j] = local[parent] + step
+        local.append(local[parent] + step)
         globals_.append(globals_[parent] @ rmats[..., j, :, :])
 
     stacked = T.concat([p.reshape(p.shape[:-1] + (1, 3)) for p in local], axis=x.ndim - 1)
@@ -240,32 +175,30 @@ def forward_kinematics(frames, skeleton: Skeleton | None = None):
     return positions.data if plain else positions
 
 
-def split_body(frames, split: BodyPartSplit | None = None):
+def split_body(frames):
     """Split [..., 147] frames into (upper [..., 90], lower [..., 57]).
 
-    Each part is a column gather (``BodyPartSplit.upper_cols`` /
-    ``lower_cols``), so it is exact and differentiates cleanly; the lower
-    part carries the root translation.
+    Each part is a column gather (``UPPER_COLS`` / ``LOWER_COLS``), so it
+    is exact and differentiates cleanly; the lower part carries the root
+    translation.
     """
-    split = split or BodyPartSplit.default()
     x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
         raise ShapeError(f"split_body expects trailing width {FRAME_WIDTH}, got {x.shape}")
-    upper, lower = x[..., split.upper_cols], x[..., split.lower_cols]
+    upper, lower = x[..., UPPER_COLS], x[..., LOWER_COLS]
     return (upper.data, lower.data) if plain else (upper, lower)
 
 
-def merge_body(upper, lower, split: BodyPartSplit | None = None):
+def merge_body(upper, lower):
     """Inverse of split_body; bit-exact because columns merely move back."""
-    split = split or BodyPartSplit.default()
     u, plain_u = T.wrap(upper)
     l, plain_l = T.wrap(lower)
-    if u.shape[-1] != split.upper_width or l.shape[-1] != split.lower_width:
+    if u.shape[-1] != UPPER_COLS.size or l.shape[-1] != LOWER_COLS.size:
         raise ShapeError(
-            f"merge_body widths must be ({split.upper_width}, {split.lower_width}), "
+            f"merge_body widths must be ({UPPER_COLS.size}, {LOWER_COLS.size}), "
             f"got ({u.shape[-1]}, {l.shape[-1]})"
         )
-    merged = T.concat([u, l], axis=-1)[..., split.merge_order]
+    merged = T.concat([u, l], axis=-1)[..., MERGE_ORDER]
     return merged.data if (plain_u and plain_l) else merged
 
 

@@ -51,13 +51,22 @@ def float_row(values) -> str:
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that do not decode are a FormatError naming
+    ``path``."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not a text file: {e.reason} at byte {e.start}") from None
+
+
 def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):
     """Check the format line and that each ``fixed`` integer header field
     has its one supported value; return (the ``ints`` header fields as
     integers, the body lines, the index of the first body line). The
     header ends at the first line without '#'."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     header = {}
     body_start = len(lines)
     for i, line in enumerate(lines):
@@ -103,11 +112,16 @@ def parse_float_rows(path, rows, body_start: int, width: int, count: int) -> np.
     return data
 
 
-def keyed_rows(rows, body_start: int):
-    """(line number, first field, rest of the line) per non-blank body line."""
+def keyed_rows(path, rows, body_start: int):
+    """(line number, first field, rest of the line) per non-blank body line;
+    a first field that repeats an earlier line's is a FormatError."""
+    seen = set()
     for i, row in enumerate(rows):
         parts = row.split(maxsplit=1)
         if parts:
+            if parts[0] in seen:
+                raise FormatError(f"{path}: line {body_start + i + 1}: repeated key {parts[0]!r}")
+            seen.add(parts[0])
             yield body_start + i + 1, parts[0], parts[1] if len(parts) > 1 else ""
 
 
@@ -121,11 +135,10 @@ def parse_value(path, line_no: int, kind, text: str):
 
 def read_json_object(path, what: str) -> dict:
     """A JSON document whose root is an object; anything else is a FormatError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: not valid JSON: {e}") from None
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: {what} root must be a JSON object")
     return doc

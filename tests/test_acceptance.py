@@ -39,7 +39,7 @@ from dancegen.generator import (
     train_generator,
 )
 from dancegen.metrics import GaussianStats, beat_align_score, frechet_distance
-from dancegen.motion import Skeleton, forward_kinematics, read_motion_file, rot6d_to_matrix
+from dancegen.motion import forward_kinematics, read_motion_file, rot6d_to_matrix
 from dancegen.music import SyntheticPairConfig, random_motion_clip, synthesize_pair
 from dancegen.tensor import Tensor, backward
 from gradcheck import check_gradients
@@ -431,7 +431,7 @@ def test_criterion_07_overfit_smoke(acceptance_log, overfit_codec, overfit_gener
 # 8. Kinematics
 
 
-def _fk_oracle(frames: np.ndarray, skel: Skeleton) -> np.ndarray:
+def _fk_oracle(frames: np.ndarray) -> np.ndarray:
     """Brute-force FK: explicit global matrix composition per joint."""
     def gram_schmidt(six):
         c1, c2 = six[:3], six[3:]
@@ -440,19 +440,19 @@ def _fk_oracle(frames: np.ndarray, skel: Skeleton) -> np.ndarray:
         b2 = c2 / np.linalg.norm(c2)
         return np.stack([b1, b2, np.cross(b1, b2)], axis=1)
 
-    t_len, j = frames.shape[0], skel.joint_count
+    t_len, j = frames.shape[0], MO.JOINT_COUNT
     pos = np.zeros((t_len, j, 3))
     for t in range(t_len):
         glob_r = [None] * j
         for joint in range(j):
             local = gram_schmidt(frames[t, 3 + 6 * joint: 9 + 6 * joint])
-            parent = skel.parents[joint]
+            parent = MO.PARENTS[joint]
             if parent < 0:
                 glob_r[joint] = local
                 pos[t, joint] = frames[t, :3]
             else:
                 glob_r[joint] = glob_r[parent] @ local
-                pos[t, joint] = pos[t, parent] + glob_r[parent] @ skel.offsets[joint]
+                pos[t, joint] = pos[t, parent] + glob_r[parent] @ MO.DEFAULT_OFFSETS[joint]
     return pos
 
 
@@ -470,11 +470,10 @@ def test_criterion_08_kinematics_suite(acceptance_log):
         ortho = np.abs(np.swapaxes(mats, -1, -2) @ mats - np.eye(3)).max()
         assert ortho < 1e-10
 
-        skel = Skeleton.default()
         worst_fk = 0.0
         for seed in range(5):
             frames = _random_frames(np.random.default_rng(100 + seed), 4)
-            gap = np.abs(forward_kinematics(frames, skel) - _fk_oracle(frames, skel)).max()
+            gap = np.abs(forward_kinematics(frames) - _fk_oracle(frames)).max()
             worst_fk = max(worst_fk, float(gap))
         assert worst_fk < 1e-10
 

@@ -16,8 +16,9 @@ from dancegen import cli
 from dancegen import motion as MO
 from dancegen.checkpoint import config_hash
 from dancegen.cli import main, read_loss_log
-from dancegen.codec import LatentCodeSequence, read_codes_file, write_codes_file
+from dancegen.codec import LatentCodeSequence, load_codec, read_codes_file, write_codes_file
 from dancegen.config import load_config
+from dancegen.errors import FormatError
 from dancegen.metrics import (
     GaussianStats,
     beat_align_score,
@@ -329,6 +330,41 @@ def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit", ["swap_joint", "reorder_upper"])
+def test_checkpoint_with_another_body_split_is_rejected(env, tmp_path, capsys, edit):
+    header, arrays = read_v2(env["codec"])
+    config = header["config"]
+    if edit == "swap_joint":  # same widths, so every parameter shape still fits
+        config["lower_joints"] = [12 if j == 11 else j for j in MO.LOWER_JOINTS]
+        config["upper_joints"] = [11 if j == 12 else j for j in MO.UPPER_JOINTS]
+        key = "lower_joints"
+    else:
+        config["upper_joints"] = list(reversed(MO.UPPER_JOINTS))
+        key = "upper_joints"
+    header["config_hash"] = config_hash(config)
+    bad = tmp_path / "split.ckpt"
+    write_v2(bad, header, arrays)
+    with pytest.raises(FormatError, match=key) as err:
+        load_codec(bad)
+    assert str(bad) in str(err.value)
+    codes = tmp_path / "zero.codes.txt"
+    write_codes_file(codes, LatentCodeSequence(np.zeros(4, dtype=np.int64),
+                                               np.zeros(4, dtype=np.int64), 4375))
+    out = tmp_path / "x.motion.txt"
+    assert main(["decode", "--ckpt", str(bad), "--in", str(codes), "--out", str(out)]) == 2
+    stderr = capsys.readouterr().err
+    assert str(bad) in stderr and key in stderr
+    assert not out.exists()
+
+
+def test_checkpoint_given_as_codes_file_is_validation_error(env, tmp_path, capsys):
+    out = tmp_path / "x.motion.txt"
+    assert main(["decode", "--ckpt", str(env["codec"]), "--in", str(env["codec"]),
+                 "--out", str(out)]) == 2
+    assert f"{env['codec']}: not a text file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_unknown_genre_lists_valid_ids(env, tmp_path, capsys):
     code = main(["generate", "--gadg-ckpt", str(env["gen"]),
                  "--hfdq-ckpt", str(env["codec"]),
@@ -518,3 +554,11 @@ def test_bad_config_file_is_validation_error(tmp_path, capsys):
     cfg.write_text("{oops")
     assert main(["synth-data", "--config", str(cfg),
                  "--out", str(tmp_path / "d"), "--clips", "1"]) == 2
+
+
+def test_non_utf8_config_file_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff{}")
+    assert main(["synth-data", "--config", str(cfg),
+                 "--out", str(tmp_path / "d"), "--clips", "1"]) == 2
+    assert f"{cfg}: not a text file" in capsys.readouterr().err

@@ -240,7 +240,7 @@ def test_decoder_gradients():
 
 def test_encoder_gradients_prequantization():
     model = CodecModel(small_cfg(), seed=9)
-    x = np.random.default_rng(4).normal(size=(16, model.split.upper_width)) * 0.3
+    x = np.random.default_rng(4).normal(size=(16, MO.UPPER_COLS.size)) * 0.3
     check_gradients(lambda arrs: model.upper_encoder(arrs[0]), [x], tol=1e-4)
 
 
@@ -375,7 +375,7 @@ def test_v1_checkpoint_loads_bitwise_equal_to_v2(tmp_path):
     model = CodecModel(small_cfg(), seed=3)
     arrays = {name: p.data for name, p in model.named_parameters()}
     write_v1_checkpoint(tmp_path / "v1.ckpt", C.CODEC_STAGE,
-                        C.codec_config_dict(model.cfg, model.split), arrays)
+                        C.codec_config_dict(model.cfg), arrays)
     C.save_codec(tmp_path / "v2.ckpt", model)
     v1 = dict(C.load_codec(tmp_path / "v1.ckpt").named_parameters())
     v2 = dict(C.load_codec(tmp_path / "v2.ckpt").named_parameters())

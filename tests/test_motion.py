@@ -26,10 +26,10 @@ def gram_schmidt_np(r6):
     return np.stack([c1, c2, c3], axis=1)
 
 
-def fk_oracle(frames, skeleton):
+def fk_oracle(frames):
     """Brute-force FK: full homogeneous chain product per joint per frame."""
     t_len = frames.shape[0]
-    n = skeleton.joint_count
+    n = M.JOINT_COUNT
     out = np.zeros((t_len, n, 3))
     for t in range(t_len):
         tau = frames[t, :3]
@@ -39,13 +39,13 @@ def fk_oracle(frames, skeleton):
             k = j
             while k != -1:
                 chain.append(k)
-                k = skeleton.parents[k]
+                k = M.PARENTS[k]
             chain.reverse()
             mat = np.eye(4)
             for k in chain:
                 step = np.eye(4)
                 step[:3, :3] = gram_schmidt_np(rots[k])
-                step[:3, 3] = tau if k == 0 else skeleton.offsets[k]
+                step[:3, 3] = tau if k == 0 else M.DEFAULT_OFFSETS[k]
                 mat = mat @ step
             out[t, j] = mat[:3, 3]
     return out
@@ -142,10 +142,9 @@ def test_fk_rest_pose_hand_values():
 @pytest.mark.parametrize("seed", range(5))
 def test_fk_matches_bruteforce_oracle(seed):
     rng = np.random.default_rng(seed)
-    skel = M.Skeleton.default()
     frames = random_valid_frames(rng, 4)
-    got = M.forward_kinematics(frames, skel)
-    ref = fk_oracle(frames, skel)
+    got = M.forward_kinematics(frames)
+    ref = fk_oracle(frames)
     assert np.abs(got - ref).max() < 1e-10
 
 
@@ -209,11 +208,16 @@ def test_fk_width_error():
         M.forward_kinematics(np.zeros((4, 100)))
 
 
-def test_skeleton_validation():
-    with pytest.raises(ContractError):
-        M.Skeleton(np.array([-1, 2, 1]), np.zeros((3, 3)))
-    with pytest.raises(ShapeError):
-        M.Skeleton(np.array([-1, 0]), np.zeros((3, 3)))
+def test_body_layout_constants():
+    assert M.PARENTS.shape == (M.JOINT_COUNT,) and M.PARENTS[0] == -1
+    assert all(0 <= M.PARENTS[j] < j for j in range(1, M.JOINT_COUNT))
+    assert M.DEFAULT_OFFSETS.shape == (M.JOINT_COUNT, 3)
+    assert not set(M.LOWER_JOINTS) & set(M.UPPER_JOINTS)
+    assert sorted(M.LOWER_JOINTS + M.UPPER_JOINTS) == list(range(M.JOINT_COUNT))
+    for const in (M.PARENTS, M.DEFAULT_OFFSETS, M.UPPER_COLS, M.LOWER_COLS, M.MERGE_ORDER):
+        assert not const.flags.writeable
+        with pytest.raises(ValueError):
+            const[0] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,37 +249,16 @@ def test_split_merge_roundtrip_bit_exact(seed, t_len):
     assert np.array_equal(merged, frames)
 
 
-CUSTOM_LOWER = (5, 0, 23, 11)
-CUSTOM_SPLIT = M.BodyPartSplit(CUSTOM_LOWER, tuple(j for j in range(24) if j not in CUSTOM_LOWER))
-
-
 def _explicit_cols(joints):
     return [c for j in joints for c in range(3 + 6 * j, 9 + 6 * j)]
 
 
-@pytest.mark.parametrize("split", [M.BodyPartSplit.default(), CUSTOM_SPLIT])
-def test_split_columns_are_joint_slices(split):
+def test_split_columns_are_joint_slices():
     frames = np.random.default_rng(2).standard_normal((4, M.FRAME_WIDTH))
-    upper, lower = M.split_body(frames, split)
-    np.testing.assert_array_equal(upper, frames[:, _explicit_cols(split.upper)])
-    np.testing.assert_array_equal(lower, frames[:, [0, 1, 2] + _explicit_cols(split.lower)])
-    assert (split.upper_width, split.lower_width) == (upper.shape[1], lower.shape[1])
-
-
-def test_custom_split_merge_roundtrip_bit_exact():
-    frames = np.random.default_rng(3).standard_normal((2, 6, M.FRAME_WIDTH))
-    merged = M.merge_body(*M.split_body(frames, CUSTOM_SPLIT), CUSTOM_SPLIT)
-    assert np.array_equal(merged, frames)
-
-
-def test_split_overlap_rejected():
-    with pytest.raises(ContractError):
-        M.BodyPartSplit(lower=(0, 1), upper=tuple(range(1, 24)))
-
-
-def test_split_must_cover():
-    with pytest.raises(ContractError):
-        M.BodyPartSplit(lower=(0, 1), upper=tuple(range(2, 23)))
+    upper, lower = M.split_body(frames)
+    np.testing.assert_array_equal(upper, frames[:, _explicit_cols(M.UPPER_JOINTS)])
+    np.testing.assert_array_equal(lower, frames[:, [0, 1, 2] + _explicit_cols(M.LOWER_JOINTS)])
+    assert (M.UPPER_COLS.size, M.LOWER_COLS.size) == (upper.shape[1], lower.shape[1])
 
 
 def test_merge_width_check():

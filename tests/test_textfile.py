@@ -105,6 +105,21 @@ def test_report_bad_value_names_line(tmp_path, key, value, line):
         read_report_file(path)
 
 
+@pytest.mark.parametrize("fmt, body, read", [
+    ("dancegen-codes", "#latent_len 2\n#codebook_size 10\nupper 1 2\nlower 3 4\nupper 5 6\n",
+     read_codes_file),
+    ("dancegen-report", "".join(f"{k} {v}\n" for k, v in REPORT.items()) + "bas 0.5\n",
+     read_report_file),
+    ("dancegen-losses", "0 1.5\n1 0.5\n1 0.25\n", read_loss_log),
+], ids=["codes", "report", "losses"])
+def test_repeated_key_names_line(tmp_path, fmt, body, read):
+    path = tmp_path / "keyed.txt"
+    path.write_text(f"#format {fmt} v1\n" + body)
+    line = len(path.read_text().splitlines())
+    with pytest.raises(FormatError, match=f"line {line}: repeated key"):
+        read(path)
+
+
 def test_failed_write_keeps_old_file(tmp_path):
     path = tmp_path / "losses.txt"
     write_loss_log(path, [1.5, 0.25])
