@@ -98,12 +98,19 @@ def load_checkpoint(path, expected_stage: str):
     return doc["config"], params
 
 
-def load_model(path, stage: str, build):
+def load_model(path, stage: str, keys, build):
     """The model ``build(config)`` makes from the config of a ``stage``
-    checkpoint, holding its saved parameters; names and shapes must match
-    exactly. A config that ``build`` rejects is a FormatError naming
-    ``path``, like every other fault of the document."""
+    checkpoint, holding its saved parameters. The config must hold exactly
+    the ``keys``, and parameter names and shapes must match exactly. A
+    missing or unknown key, and a config that ``build`` rejects, are each a
+    FormatError naming ``path``, like every other fault of the document."""
     config, params = load_checkpoint(path, stage)
+    for key in keys:
+        if key not in config:
+            raise FormatError(f"{path}: {stage} config has no key {key!r}")
+    for key in config:
+        if key not in keys:
+            raise FormatError(f"{path}: unknown {stage} config key {key!r}")
     try:
         model = build(config)
     except (DancegenError, KeyError, TypeError, ValueError) as e:

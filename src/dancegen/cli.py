@@ -65,9 +65,14 @@ def write_loss_log(path, losses) -> None:
 
 
 def read_loss_log(path):
+    """The losses of a log whose steps run 0, 1, 2, ... as written."""
     _, rows, body_start = TF.read_text_file(path, LOSSES_FORMAT, LOSSES_VERSION)
-    return np.array([TF.parse_value(path, line_no, float, value)
-                     for line_no, _, value in TF.keyed_rows(path, rows, body_start)])
+    losses = []
+    for line_no, step, value in TF.keyed_rows(path, rows, body_start):
+        if step != str(len(losses)):
+            raise FormatError(f"{path}: line {line_no}: step {step!r}, expected {len(losses)}")
+        losses.append(TF.parse_value(path, line_no, float, value))
+    return np.array(losses)
 
 
 def _load_pairs(data_dir: Path):

@@ -22,12 +22,14 @@ from . import tensor as T
 from . import textfile as TF
 from .checkpoint import load_model, save_checkpoint
 from .errors import ConfigError, FormatError, InputError, OutOfRangeError, ShapeError
-from .nn import Adam, Linear, Module, Rng, check_training_ranges, fan_in_uniform
+from .music import random_motion_clip
+from .nn import Linear, Module, Rng, check_training_ranges, fan_in_uniform, fit
 from .tensor import Parameter, Tensor
 
 KERNEL_SIZE = 4
 REFINE_KERNEL = 5
 DOWNSAMPLE = 8
+CODEC_BETAS = (0.5, 0.99)
 
 
 @dataclass
@@ -76,7 +78,6 @@ class CodecTrainConfig:
     steps: int = 2000
     batch_size: int = 8
     lr: float = 1e-3
-    betas: tuple = (0.5, 0.99)
     seed: int = 0
     # Extra unstructured clips mixed into training to widen the code
     # distribution; drawn deterministically from the seed.
@@ -406,7 +407,7 @@ def reconstruction_loss(
     return track(frames_hat, frames) + track(joints_hat, joints)
 
 
-def _flatten_joints(positions: Tensor) -> Tensor:
+def _flatten_joints(positions):  # a Tensor or an array, [..., 24, 3] -> [..., 72]
     shape = positions.shape
     return positions.reshape(shape[:-2] + (shape[-2] * shape[-1],))
 
@@ -419,9 +420,9 @@ def train_codec(
 ):
     """Train the codec on a list of [T, 147] clips; returns (model, loss log).
 
-    Ground-truth joint positions are precomputed once per clip. Every step
-    samples a batch, runs the differentiable reconstruct pass, and applies
-    one Adam update.
+    Ground-truth joint positions are precomputed once per clip. Each step
+    of ``nn.fit`` runs the differentiable reconstruct pass on a batch and
+    its forward kinematics into the reconstruction loss.
     """
     cfg = cfg or FsqConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -435,36 +436,19 @@ def train_codec(
         raise ShapeError(f"all training clips must share one length, got {sorted(lengths)}")
 
     rng = np.random.default_rng(train_cfg.seed)
-    if train_cfg.noise_clips > 0:
-        from .music import random_motion_clip
-
-        t_len = clips[0].shape[0]
-        clips = clips + [
-            random_motion_clip(rng, t_len).frames for _ in range(train_cfg.noise_clips)
-        ]
-
+    t_len = clips[0].shape[0]
+    clips += [random_motion_clip(rng, t_len).frames for _ in range(train_cfg.noise_clips)]
     stack = np.stack(clips)  # [N, T, 147]
-    joints = MO.forward_kinematics(stack)  # [N, T, 24, 3]
-    joints_flat = joints.reshape(joints.shape[0], joints.shape[1], -1)
-
+    joints_flat = _flatten_joints(MO.forward_kinematics(stack))
     model = CodecModel(cfg, seed=train_cfg.seed)
-    optim = Adam(model.parameters(), lr=train_cfg.lr, betas=train_cfg.betas)
-    losses = []
-    n = stack.shape[0]
-    batch = min(train_cfg.batch_size, n)
-    for step in range(train_cfg.steps):
-        idx = rng.choice(n, size=batch, replace=False)
+
+    def batch_loss(idx):
         frames = Tensor(stack[idx])
         frames_hat, _, _ = model.reconstruct(frames)
         joints_hat = _flatten_joints(MO.forward_kinematics(frames_hat))
-        loss = reconstruction_loss(
-            frames_hat, frames, joints_hat, Tensor(joints_flat[idx]), loss_cfg
-        )
-        optim.zero_grad()
-        loss.backward()
-        optim.step()
-        losses.append(loss.item())
-    return model, losses
+        return reconstruction_loss(frames_hat, frames, joints_hat, Tensor(joints_flat[idx]), loss_cfg)
+
+    return model, fit(model, train_cfg, CODEC_BETAS, stack.shape[0], batch_loss, rng, CODEC_STAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +478,6 @@ def save_codec(path, model: CodecModel, loss_cfg: LossConfig | None = None) -> N
 
 def _codec_from_config(config: dict) -> CodecModel:
     expected = codec_config_dict(FsqConfig())
-    if config.keys() != expected.keys():
-        raise ConfigError(f"codec config keys {sorted(config)} are not {sorted(expected)}")
     for key in ("lower_joints", "upper_joints"):
         if config[key] != expected[key]:
             raise ConfigError(f"{key} {config[key]} is not the body split {expected[key]}")
@@ -504,4 +486,4 @@ def _codec_from_config(config: dict) -> CodecModel:
 
 
 def load_codec(path) -> CodecModel:
-    return load_model(path, CODEC_STAGE, _codec_from_config)
+    return load_model(path, CODEC_STAGE, codec_config_dict(FsqConfig()).keys(), _codec_from_config)

@@ -43,8 +43,10 @@ from .errors import (
     ShapeError,
 )
 from .music import MUSIC_WIDTH
-from .nn import Adam, Dropout, Linear, Module, Rng, check_training_ranges
+from .nn import Dropout, Linear, Module, Rng, check_training_ranges, fit
 from .tensor import Parameter, Tensor
+
+GENERATOR_BETAS = (0.9, 0.99)
 
 
 @dataclass
@@ -91,7 +93,6 @@ class GeneratorTrainConfig:
     steps: int = 3000
     batch_size: int = 4
     lr: float = 3e-4
-    betas: tuple = (0.9, 0.99)
     seed: int = 0
 
     def __post_init__(self):
@@ -483,7 +484,8 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
     """Teacher-forced training on (music, genre_id, codes) triples.
 
     Music may be a MusicFeatureSequence or a raw [T, 35] array; it is
-    average-pooled to one row per code step. Returns (model, loss log).
+    average-pooled to one row per code step. Each step of ``nn.fit`` takes
+    the mean of the batch's per-sequence losses. Returns (model, loss log).
     """
     cfg = cfg or GadgConfig()
     train_cfg = train_cfg or GeneratorTrainConfig()
@@ -505,23 +507,13 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
         prepared.append((pooled, int(genre_id), codes))
 
     model = GadgModel(cfg, seed=train_cfg.seed)
-    optim = Adam(model.parameters(), lr=train_cfg.lr, betas=train_cfg.betas)
-    rng = np.random.default_rng(train_cfg.seed)
-    losses = []
-    batch = min(train_cfg.batch_size, len(prepared))
-    for _ in range(train_cfg.steps):
-        idx = rng.choice(len(prepared), size=batch, replace=False)
-        optim.zero_grad()
-        total = None
-        for i in idx:
-            pooled, genre_id, codes = prepared[i]
-            loss = teacher_forced_loss(model, pooled, genre_id, codes)
-            total = loss if total is None else total + loss
-        total = total * (1.0 / batch)
-        total.backward()
-        optim.step()
-        losses.append(total.item())
-    return model, losses
+
+    def batch_loss(idx):
+        losses = [teacher_forced_loss(model, *prepared[i]) for i in idx]
+        return sum(losses[1:], losses[0]) * (1.0 / len(idx))
+
+    return model, fit(model, train_cfg, GENERATOR_BETAS, len(prepared), batch_loss,
+                      np.random.default_rng(train_cfg.seed), GENERATOR_STAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -610,4 +602,5 @@ def save_generator(path, model: GadgModel) -> None:
 
 
 def load_generator(path) -> GadgModel:
-    return load_model(path, GENERATOR_STAGE, lambda config: GadgModel(GadgConfig(**config)))
+    return load_model(path, GENERATOR_STAGE, [f.name for f in fields(GadgConfig)],
+                      lambda config: GadgModel(GadgConfig(**config)))

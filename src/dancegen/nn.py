@@ -1,4 +1,4 @@
-"""Parameter containers, init, and the Adam optimizer.
+"""Parameter containers, init, the Adam optimizer and the training loop.
 
 Modules discover parameters by walking instance attributes in insertion
 order, so checkpoint names are stable as long as attribute names are.
@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DegenerateInputError
 from .tensor import Parameter, Tensor
 
 
@@ -155,9 +155,9 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with configurable betas; state is kept per parameter."""
+    """Adam with the betas of its training stage; state is kept per parameter."""
 
-    def __init__(self, params, lr: float = 1e-3, betas: tuple = (0.9, 0.999)):
+    def __init__(self, params, lr: float, betas: tuple):
         self.params = list(params)
         if not self.params:
             raise ContractError("optimizer needs at least one parameter")
@@ -185,3 +185,28 @@ class Adam:
             v *= b2
             v += (1.0 - b2) * g * g
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+
+
+def fit(model: Module, train_cfg, betas: tuple, count: int, batch_loss, rng, stage: str) -> list:
+    """The training loop of both stages; returns the loss log. Each step
+    backpropagates ``batch_loss`` of ``min(batch_size, count)`` distinct
+    indices drawn from ``rng`` and takes one Adam step. A non-finite loss
+    or gradient raises a DegenerateInputError naming ``stage`` and the
+    step (from 0, as in the loss log) before the update."""
+    named = list(model.named_parameters())
+    optim = Adam((p for _, p in named), train_cfg.lr, betas)
+    batch = min(train_cfg.batch_size, count)
+    losses = []
+    for step in range(train_cfg.steps):
+        idx = rng.choice(count, size=batch, replace=False)
+        optim.zero_grad()
+        loss = batch_loss(idx)
+        loss.backward()
+        value = loss.item()
+        bad = [name for name, p in named if p.grad is not None and not np.isfinite(p.grad).all()]
+        if bad or not np.isfinite(value):
+            grads = f"; gradient of {bad[0]} not finite" if bad else ""
+            raise DegenerateInputError(f"{stage} training diverged at step {step}: loss {value}{grads}")
+        optim.step()
+        losses.append(value)
+    return losses

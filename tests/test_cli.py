@@ -13,10 +13,17 @@ import pytest
 
 from checkpoint_files import read_v2, write_v1_checkpoint, write_v2
 from dancegen import cli
+from dancegen import codec as C
 from dancegen import motion as MO
 from dancegen.checkpoint import config_hash
 from dancegen.cli import main, read_loss_log
-from dancegen.codec import LatentCodeSequence, load_codec, read_codes_file, write_codes_file
+from dancegen.codec import (
+    LatentCodeSequence,
+    load_codec,
+    read_codes_file,
+    reconstruction_loss,
+    write_codes_file,
+)
 from dancegen.config import load_config
 from dancegen.errors import FormatError
 from dancegen.metrics import (
@@ -108,6 +115,18 @@ def test_train_gadg_outputs(env):
     losses = read_loss_log(str(env["gen"]) + ".losses.txt")
     assert losses.shape == (TINY["gadg"]["steps"],)
     assert losses[-1] < losses[0]
+
+
+def test_train_hfdq_stops_at_non_finite_loss(env, tmp_path, capsys, monkeypatch):
+    def nan_loss(*args):
+        return reconstruction_loss(*args) * np.nan
+
+    monkeypatch.setattr(C, "reconstruction_loss", nan_loss)
+    ckpt = tmp_path / "codec.ckpt"
+    assert main(["train-hfdq", "--config", str(env["cfg"]), "--data", str(env["data"]),
+                 "--out-ckpt", str(ckpt)]) == 2
+    assert "codec training diverged at step 0: loss nan" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_requires_data_dir(env, tmp_path):
@@ -271,6 +290,7 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     ("gen", "truncated"), ("codec", "truncated"),
     ("gen", "no_header"), ("codec", "no_header"),
     ("gen", "unknown_version"), ("codec", "unknown_version"),
+    ("gen", "missing_config_key"), ("codec", "missing_config_key"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
     header, arrays = read_v2(env[stage])
@@ -289,6 +309,9 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         header = None
     elif edit == "unknown_version":
         header["version"] = 3
+    elif edit == "missing_config_key":
+        missing = "window_step" if stage == "gen" else "feature_dim"
+        del header["config"][missing]
     bad = tmp_path / "bad.ckpt"
     if edit == "truncated":  # a copy killed halfway
         data = env[stage].read_bytes()
@@ -302,7 +325,10 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
                  "--music", str(env["data"] / "clip_0001.music.txt"),
                  "--genre", "1", "--frames", "32", "--out", str(out)])
     assert code == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    if edit == "missing_config_key":
+        assert f"config has no key {missing!r}" in err
     assert not out.exists()
 
 

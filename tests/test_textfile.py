@@ -86,6 +86,9 @@ def test_loss_log_rejects_wrong_header(tmp_path):
 @pytest.mark.parametrize("body, line", [
     ("0 1.5\n1 abc\n", "line 3"),
     ("0 1.5\n\n2\n", "line 4"),
+    ("0 1.5\nabc 0.5\n", "line 3: step 'abc', expected 1"),
+    ("0 1.5\n2 0.5\n", "line 3: step '2', expected 1"),
+    ("1 1.5\n0 0.5\n", "line 2: step '1', expected 0"),
 ])
 def test_loss_log_bad_value_names_line(tmp_path, body, line):
     path = tmp_path / "losses.txt"
