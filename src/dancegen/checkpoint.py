@@ -7,9 +7,8 @@ the config dict that built the model and a hash of that config. Arrays are
 stored as raw float64 bytes, so save/load is lossless, and two saves of one
 model give identical files. Nothing in the archive needs pickle.
 
-v1 checkpoints, one JSON document whose ``params`` map each name to a
-shape and a flat float list, are still read. The reader tells the two
-apart by the zip signature at the start of the file, not by its suffix.
+v2 is the only format read. A file that does not start with the zip
+signature, such as a v1 JSON checkpoint, is refused by name.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import zipfile
 import numpy as np
 
 from .errors import DancegenError, DependencyError, FormatError
-from .textfile import atomic_write, read_json_object
+from .textfile import atomic_write
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -50,46 +49,39 @@ def save_checkpoint(path, stage: str, config: dict, named_params) -> None:
         np.savez(fh, allow_pickle=False, **members)
 
 
-def _check_header(path, doc: dict, version: int, expected_stage: str) -> dict:
-    """``doc`` if it is a ``version`` checkpoint of ``expected_stage`` with
-    a config object, else a FormatError naming ``path``."""
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != version:
-        raise FormatError(
-            f"{path}: unsupported checkpoint version {doc.get('version')!r}, expected {version}"
-        )
-    stage = doc.get("stage")
-    if stage != expected_stage:
-        raise FormatError(f"{path}: stage {stage!r} does not match expected {expected_stage!r}")
-    if not isinstance(doc.get("config"), dict):
-        raise FormatError(f"{path}: checkpoint config must be a JSON object")
-    return doc
-
-
 def load_checkpoint(path, expected_stage: str):
     """Returns (config, params: dict name -> float64 ndarray) of an
-    ``expected_stage`` checkpoint, v2 or v1. A truncated or malformed file,
-    a v2 member that is not float64, a v1 parameter whose data are not
-    numbers or whose size does not fit its shape, and a parameter with a
-    non-finite value are each a FormatError naming ``path``."""
+    ``expected_stage`` checkpoint. A file that is not a zip archive (a v1
+    JSON checkpoint among them), a truncated or malformed archive, a header
+    of another format, version or stage or without a config object, a
+    member that is not float64, and a parameter with a non-finite value are
+    each a FormatError naming ``path``."""
     if not os.path.exists(path):
         raise DependencyError(f"checkpoint not found: {path}")
     try:
         with open(path, "rb") as fh:
-            if fh.read(len(ZIP_SIGNATURE)) == ZIP_SIGNATURE:  # v2
-                fh.seek(0)
-                with np.load(fh, allow_pickle=False) as archive:
-                    doc = _check_header(path, json.loads(archive[HEADER].item()), 2, expected_stage)
-                    params = {name: archive[name] for name in archive.files if name != HEADER}
-            else:
-                doc = _check_header(path, read_json_object(path, "checkpoint"), 1, expected_stage)
-                params = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                          for name, entry in doc["params"].items()}
+            if fh.read(len(ZIP_SIGNATURE)) != ZIP_SIGNATURE:
+                raise FormatError(f"{path}: not a checkpoint archive "
+                                  "(v1 JSON checkpoints are no longer read)")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as archive:
+                doc = json.loads(archive[HEADER].item())
+                params = {name: archive[name] for name in archive.files if name != HEADER}
     except DancegenError:
         raise
     except (zipfile.BadZipFile, EOFError, AttributeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed checkpoint: {type(e).__name__}: {e}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise FormatError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {doc.get('version')!r}, "
+                          f"expected {CHECKPOINT_VERSION}")
+    if doc.get("stage") != expected_stage:
+        raise FormatError(
+            f"{path}: stage {doc.get('stage')!r} does not match expected {expected_stage!r}"
+        )
+    if not isinstance(doc.get("config"), dict):
+        raise FormatError(f"{path}: checkpoint config must be a JSON object")
     for name, value in params.items():
         if not isinstance(value, np.ndarray) or value.dtype != np.float64:
             raise FormatError(f"{path}: parameter {name} is not a float64 array")

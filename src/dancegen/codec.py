@@ -362,6 +362,8 @@ def read_codes_file(path) -> LatentCodeSequence:
     (latent_len, k), rows, body_start = TF.read_text_file(
         path, CODES_FORMAT, CODES_VERSION, ("latent_len", "codebook_size")
     )
+    if latent_len < 1:
+        raise FormatError(f"{path}: latent_len must be >= 1, got {latent_len}")
     streams = {}
     for line_no, label, rest in TF.keyed_rows(path, rows, body_start):
         values = rest.split()

@@ -63,11 +63,10 @@ class PipelineConfig:
     metrics: MetricsSection = field(default_factory=MetricsSection)
 
     def __post_init__(self):
-        if self.gadg.autoregressive_step < self.gadg.window_step:
-            raise ConfigError(
-                f"autoregressive_step {self.gadg.autoregressive_step} must be >= "
-                f"window_step {self.gadg.window_step}"
-            )
+        # The stage checks run at load, GadgConfig's window-step rule among
+        # them; the levels go first, as the codebook size is their product.
+        self.fsq_config()
+        self.gadg_config()
 
     @property
     def codebook_size(self) -> int:

@@ -82,6 +82,11 @@ class GadgConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.autoregressive_step < self.window_step:
+            raise ConfigError(
+                f"autoregressive_step {self.autoregressive_step} must be >= "
+                f"window_step {self.window_step}"
+            )
 
     @property
     def dt_rank(self) -> int:

@@ -27,13 +27,6 @@ PARENTS = np.array(
     [-1, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 12, 13, 14, 16, 17, 18, 19, 20, 21]
 )
 
-JOINT_NAMES = (
-    "pelvis", "l_hip", "r_hip", "spine1", "l_knee", "r_knee", "spine2",
-    "l_ankle", "r_ankle", "spine3", "l_foot", "r_foot", "neck", "l_collar",
-    "r_collar", "head", "l_shoulder", "r_shoulder", "l_elbow", "r_elbow",
-    "l_wrist", "r_wrist", "l_hand", "r_hand",
-)
-
 # Rest-pose bone offsets in meters, y-up. Synthetic but humanoid-proportioned.
 DEFAULT_OFFSETS = np.array([
     [0.00, 0.00, 0.00],    # pelvis (root; offset unused)

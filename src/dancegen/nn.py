@@ -55,24 +55,11 @@ class Module:
     def __init__(self):
         self.training = True
 
-    def _children(self):
-        for name, value in vars(self).items():
-            if name == "training":
-                continue
-            yield name, value
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, value in self._children():
-            path = f"{prefix}{name}"
-            yield from _walk_params(path, value)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
+    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
+        return ((path, p) for path, p in _walk("", self) if isinstance(p, Parameter))
 
     def modules(self) -> Iterator["Module"]:
-        yield self
-        for _, value in self._children():
-            yield from _walk_modules(value)
+        return (m for _, m in _walk("", self) if isinstance(m, Module))
 
     def train(self, mode: bool = True) -> "Module":
         for m in self.modules():
@@ -83,28 +70,21 @@ class Module:
         return self.train(False)
 
 
-def _walk_params(path: str, value):
-    if isinstance(value, Parameter):
-        yield path, value
-    elif isinstance(value, Module):
-        yield from value.named_parameters(prefix=path + ".")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            yield from _walk_params(f"{path}.{i}", item)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield from _walk_params(f"{path}.{key}", item)
-
-
-def _walk_modules(value):
+def _walk(path: str, value):
+    """(dotted path, value) of ``value`` and of everything under it, depth
+    first: a module's attributes but ``training`` in insertion order, and
+    the items of lists, tuples and dicts."""
+    yield path, value
     if isinstance(value, Module):
-        yield from value.modules()
+        items = ((name, item) for name, item in vars(value).items() if name != "training")
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _walk_modules(item)
+        items = enumerate(value)
     elif isinstance(value, dict):
-        for item in value.values():
-            yield from _walk_modules(item)
+        items = value.items()
+    else:
+        return
+    for key, item in items:
+        yield from _walk(f"{path}.{key}" if path else str(key), item)
 
 
 class Linear(Module):

@@ -2,8 +2,8 @@
 latent-code, loss-log and report files: a ``#format <name> v<n>`` line,
 further ``#key value`` header lines, then one record per line. Readers
 share one header check and one style of line-numbered ``FormatError``.
-The JSON documents (config, manifest, v1 checkpoint) share one reader
-too, and every artifact, binary checkpoints included, is written through
+The JSON documents (config, data manifest) share one reader too, and
+every artifact, binary checkpoints included, is written through
 ``atomic_write``.
 """
 

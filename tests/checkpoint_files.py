@@ -1,6 +1,6 @@
-"""Test helpers that write checkpoint files by hand: the v1 JSON layout,
-which the package still reads but no longer writes, and v2 archives with
-an edited header or edited members."""
+"""Test helpers that write checkpoint files by hand: a file in the old v1
+JSON layout, which the package refuses, and v2 archives with an edited
+header or edited members."""
 
 import json
 
@@ -11,7 +11,7 @@ from dancegen.checkpoint import HEADER, config_hash
 
 def write_v1_checkpoint(path, stage: str, config: dict, arrays: dict) -> None:
     """The v1 layout: one JSON document, each parameter a shape and a flat
-    list of floats."""
+    list of floats. Only written to check that loading refuses it."""
     doc = {
         "format": "dancegen-checkpoint",
         "version": 1,

@@ -185,6 +185,7 @@ def test_manifest_genre_must_match_music_header(env, tmp_path, capsys):
     ("hfdq", {"levels": []}, "levels"),
     ("hfdq", {"velocity_weight": -1}, "velocity_weight"),
     ("hfdq", {"accel_weight": float("inf")}, "accel_weight"),
+    ("hfdq", {"levels": [0, 5]}, "levels"),
 ])
 def test_train_rejects_out_of_range_config(env, tmp_path, capsys, stage, override, field):
     cfg = tmp_path / "range.json"
@@ -291,6 +292,8 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     ("gen", "no_header"), ("codec", "no_header"),
     ("gen", "unknown_version"), ("codec", "unknown_version"),
     ("gen", "missing_config_key"), ("codec", "missing_config_key"),
+    ("gen", "window_step_over_autoregressive_step"),
+    ("gen", "v1_json"), ("codec", "v1_json"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
     header, arrays = read_v2(env[stage])
@@ -312,10 +315,14 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
     elif edit == "missing_config_key":
         missing = "window_step" if stage == "gen" else "feature_dim"
         del header["config"][missing]
+    elif edit == "window_step_over_autoregressive_step":
+        header["config"].update(autoregressive_step=4, window_step=8)
     bad = tmp_path / "bad.ckpt"
     if edit == "truncated":  # a copy killed halfway
         data = env[stage].read_bytes()
         bad.write_bytes(data[:len(data) // 2])
+    elif edit == "v1_json":
+        write_v1_checkpoint(bad, header["stage"], header["config"], arrays)
     else:
         write_v2(bad, header, arrays)
     ckpts = dict(env, **{stage: bad})
@@ -329,23 +336,21 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
     assert str(bad) in err
     if edit == "missing_config_key":
         assert f"config has no key {missing!r}" in err
+    if edit == "window_step_over_autoregressive_step":
+        assert "window_step 8" in err
+    if edit == "v1_json":
+        assert "v1" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["v1_null", "v2_nan", "v2_float32"])
+@pytest.mark.parametrize("edit", ["v2_nan", "v2_float32"])
 def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
     header, arrays = read_v2(env["codec"])
     name = list(arrays)[-1]
     bad = tmp_path / "bad.ckpt"
-    if edit == "v1_null":
-        write_v1_checkpoint(bad, header["stage"], header["config"], arrays)
-        doc = json.loads(bad.read_text())
-        doc["params"][name]["data"] = [None] * arrays[name].size
-        bad.write_text(json.dumps(doc))
-    else:
-        arrays[name] = (np.full_like(arrays[name], np.nan) if edit == "v2_nan"
-                        else arrays[name].astype(np.float32))
-        write_v2(bad, header, arrays)
+    arrays[name] = (np.full_like(arrays[name], np.nan) if edit == "v2_nan"
+                    else arrays[name].astype(np.float32))
+    write_v2(bad, header, arrays)
     codes = tmp_path / "zero.codes.txt"
     write_codes_file(codes, LatentCodeSequence(np.zeros(4, dtype=np.int64),
                                                np.zeros(4, dtype=np.int64), 4375))

@@ -41,7 +41,6 @@ from dancegen.errors import (
 )
 from dancegen.tensor import Tensor
 
-from checkpoint_files import write_v1_checkpoint
 from gradcheck import check_gradients
 
 LEVELS = (7, 5, 5, 5, 5)
@@ -290,18 +289,17 @@ def test_codes_file_roundtrip(tmp_path):
 
 def test_codes_file_rejections(tmp_path):
     path = tmp_path / "bad.codes.txt"
-    path.write_text("#format dancegen-codes v2\n#latent_len 1\n#codebook_size 10\nupper 1\nlower 1\n")
-    with pytest.raises(FormatError):
-        read_codes_file(path)
-    path.write_text("#format dancegen-codes v1\n#latent_len 2\n#codebook_size 10\nupper 1\nlower 1 2\n")
-    with pytest.raises(FormatError):
-        read_codes_file(path)
-    path.write_text("#format dancegen-codes v1\n#latent_len 1\n#codebook_size 10\nupper 1\nmiddle 1\n")
-    with pytest.raises(FormatError):
-        read_codes_file(path)
-    path.write_text("#format dancegen-codes v1\n#latent_len 1\n#codebook_size 10\nupper 11\nlower 1\n")
-    with pytest.raises(FormatError):
-        read_codes_file(path)
+    for text in [
+        "#format dancegen-codes v2\n#latent_len 1\n#codebook_size 10\nupper 1\nlower 1\n",
+        "#format dancegen-codes v1\n#latent_len 2\n#codebook_size 10\nupper 1\nlower 1 2\n",
+        "#format dancegen-codes v1\n#latent_len 1\n#codebook_size 10\nupper 1\nmiddle 1\n",
+        "#format dancegen-codes v1\n#latent_len 1\n#codebook_size 10\nupper 11\nlower 1\n",
+        "#format dancegen-codes v1\n#latent_len 0\n#codebook_size 10\nupper\nlower\n",
+    ]:
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read_codes_file(path)
+        assert str(path) in str(err.value)
 
 
 def test_code_sequence_validation():
@@ -371,19 +369,15 @@ def test_codec_checkpoint_stage_guard(tmp_path):
         C.load_codec(tmp_path / "missing.json")
 
 
-def test_v1_checkpoint_loads_bitwise_equal_to_v2(tmp_path):
+def test_checkpoint_loads_bitwise_equal(tmp_path):
     model = CodecModel(small_cfg(), seed=3)
     arrays = {name: p.data for name, p in model.named_parameters()}
-    write_v1_checkpoint(tmp_path / "v1.ckpt", C.CODEC_STAGE,
-                        C.codec_config_dict(model.cfg), arrays)
-    C.save_codec(tmp_path / "v2.ckpt", model)
-    v1 = dict(C.load_codec(tmp_path / "v1.ckpt").named_parameters())
-    v2 = dict(C.load_codec(tmp_path / "v2.ckpt").named_parameters())
-    assert list(v1) == list(v2) == list(arrays)
+    C.save_codec(tmp_path / "codec.ckpt", model)
+    loaded = dict(C.load_codec(tmp_path / "codec.ckpt").named_parameters())
+    assert list(loaded) == list(arrays)
     for name, value in arrays.items():
-        for loaded in (v1[name].data, v2[name].data):
-            assert loaded.dtype == np.float64 and loaded.shape == value.shape
-            assert loaded.tobytes() == value.tobytes()
+        assert loaded[name].data.dtype == np.float64 and loaded[name].data.shape == value.shape
+        assert loaded[name].data.tobytes() == value.tobytes()
 
 
 def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):

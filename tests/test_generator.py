@@ -11,7 +11,6 @@ full-prefix generation loop.
 """
 
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from dancegen.errors import (
     ShapeError,
 )
 from dancegen.generator import (
-    GENERATOR_STAGE,
     Expert,
     GadgConfig,
     GadgModel,
@@ -52,7 +50,6 @@ from dancegen.generator import (
 from dancegen.nn import Rng
 from dancegen.tensor import Tensor
 
-from checkpoint_files import write_v1_checkpoint
 from gradcheck import check_gradients
 from scan_oracle import composed_scan, mamba_discretize
 
@@ -745,18 +742,15 @@ def test_generator_checkpoint_round_trip(tmp_path):
     assert np.array_equal(a, b)
 
 
-def test_v1_generator_checkpoint_loads_bitwise_equal_to_v2(tmp_path):
+def test_generator_checkpoint_loads_bitwise_equal(tmp_path):
     model = GadgModel(tiny_cfg(), seed=4)
     arrays = {name: p.data for name, p in model.named_parameters()}
-    write_v1_checkpoint(tmp_path / "v1.ckpt", GENERATOR_STAGE, asdict(model.cfg), arrays)
-    save_generator(tmp_path / "v2.ckpt", model)
-    v1 = dict(load_generator(tmp_path / "v1.ckpt").named_parameters())
-    v2 = dict(load_generator(tmp_path / "v2.ckpt").named_parameters())
-    assert list(v1) == list(v2) == list(arrays)
+    save_generator(tmp_path / "gen.ckpt", model)
+    loaded = dict(load_generator(tmp_path / "gen.ckpt").named_parameters())
+    assert list(loaded) == list(arrays)
     for name, value in arrays.items():
-        for loaded in (v1[name].data, v2[name].data):
-            assert loaded.dtype == np.float64 and loaded.shape == value.shape
-            assert loaded.tobytes() == value.tobytes()
+        assert loaded[name].data.dtype == np.float64 and loaded[name].data.shape == value.shape
+        assert loaded[name].data.tobytes() == value.tobytes()
 
 
 def test_generator_checkpoint_bytes_are_deterministic(tmp_path):
