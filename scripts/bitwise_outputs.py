@@ -7,7 +7,9 @@ one checkout's ``src/`` and compared between two dumps:
     python3 scripts/bitwise_outputs.py compare old.npz new.npz
 
 A dump holds the loss logs of the benchmark's ``train`` workload at seed 0
-(5 codec and 3 generator steps on 16 synthetic 240-frame clips), the codes
+(5 codec and 3 generator steps on 16 synthetic 240-frame clips), every
+parameter of a generator after 2 steps at batch 3 on the first 7 of those
+clips (genres cycling; a 1/3 mean scale is inexact), the codes
 of 8 clips generated as its ``generate`` workload does (4 genres, argmax
 and top-k 8, 32 codes), the gradient of every parameter of the seed-0
 desk-config generator and codec after one training-mode loss on fixed
@@ -58,6 +60,11 @@ def dump(src: str, out: str) -> None:
     dataset = [(music.frames, music.genre_id, codec.encode(clip.frames)) for music, clip in pairs]
     _, res["generator_losses"] = dg.train_generator(
         dataset, cfg.gadg_config(), dataclasses.replace(cfg.generator_train_config(), steps=3, seed=0))
+    trained, _ = dg.train_generator(
+        dataset[:7], cfg.gadg_config(),
+        dataclasses.replace(cfg.generator_train_config(), steps=2, batch_size=3, seed=0))
+    res["generator_batch3_params"] = np.concatenate(
+        [p.data.ravel() for _, p in trained.named_parameters()])
 
     generator = dg.GadgModel(cfg.gadg_config(), seed=0)
     tracks = [dg.synthesize_pair(dg.SyntheticPairConfig(seed=g, clip_frames=256), g)[0]

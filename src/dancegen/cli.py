@@ -29,6 +29,7 @@ from .config import CONFIG_ENV_VAR, load_config
 from .errors import (
     ConfigError,
     DancegenError,
+    DegenerateInputError,
     DependencyError,
     FormatError,
     InputError,
@@ -143,15 +144,26 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
+def _train(loss_log, train, *inputs):
+    """``train(*inputs)``; if it diverges after step 0, write the loss log
+    of the steps before it, then re-raise."""
+    try:
+        return train(*inputs)
+    except DegenerateInputError as e:
+        if getattr(e, "losses", None):
+            write_loss_log(loss_log, e.losses)
+        raise
+
+
 def cmd_train_hfdq(args) -> int:
     cfg = load_config(args.config)
     pairs = _load_pairs(Path(args.data))
     clips = [clip.frames for _, clip, _ in pairs]
-    model, losses = train_codec(
-        clips, cfg.fsq_config(), cfg.loss_config(), cfg.codec_train_config()
+    loss_log = args.loss_log or f"{args.out_ckpt}.losses.txt"
+    model, losses = _train(
+        loss_log, train_codec, clips, cfg.fsq_config(), cfg.loss_config(), cfg.codec_train_config()
     )
     save_codec(args.out_ckpt, model, cfg.loss_config())
-    loss_log = args.loss_log or f"{args.out_ckpt}.losses.txt"
     write_loss_log(loss_log, losses)
     print(
         f"codec trained for {len(losses)} steps on {len(clips)} clips; "
@@ -173,9 +185,11 @@ def cmd_train_gadg(args) -> int:
         (music.frames, genre_id, codec.encode(clip.frames))
         for music, clip, genre_id in pairs
     ]
-    model, losses = train_generator(dataset, cfg.gadg_config(), cfg.generator_train_config())
-    save_generator(args.out_ckpt, model)
     loss_log = args.loss_log or f"{args.out_ckpt}.losses.txt"
+    model, losses = _train(
+        loss_log, train_generator, dataset, cfg.gadg_config(), cfg.generator_train_config()
+    )
+    save_generator(args.out_ckpt, model)
     write_loss_log(loss_log, losses)
     print(
         f"generator trained for {len(losses)} steps on {len(dataset)} sequences; "

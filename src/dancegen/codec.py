@@ -422,9 +422,10 @@ def train_codec(
 ):
     """Train the codec on a list of [T, 147] clips; returns (model, loss log).
 
-    Ground-truth joint positions are precomputed once per clip. Each step
-    of ``nn.fit`` runs the differentiable reconstruct pass on a batch and
-    its forward kinematics into the reconstruction loss.
+    Ground-truth joint positions are precomputed once per clip. The loss
+    of each step of ``nn.fit`` is one part: the differentiable reconstruct
+    pass on the whole batch and its forward kinematics into the
+    reconstruction loss.
     """
     cfg = cfg or FsqConfig()
     loss_cfg = loss_cfg or LossConfig()
@@ -445,10 +446,13 @@ def train_codec(
     model = CodecModel(cfg, seed=train_cfg.seed)
 
     def batch_loss(idx):
-        frames = Tensor(stack[idx])
-        frames_hat, _, _ = model.reconstruct(frames)
-        joints_hat = _flatten_joints(MO.forward_kinematics(frames_hat))
-        return reconstruction_loss(frames_hat, frames, joints_hat, Tensor(joints_flat[idx]), loss_cfg)
+        def loss():
+            frames = Tensor(stack[idx])
+            frames_hat, _, _ = model.reconstruct(frames)
+            joints_hat = _flatten_joints(MO.forward_kinematics(frames_hat))
+            return reconstruction_loss(frames_hat, frames, joints_hat, Tensor(joints_flat[idx]), loss_cfg)
+
+        return [loss]
 
     return model, fit(model, train_cfg, CODEC_BETAS, stack.shape[0], batch_loss, rng, CODEC_STAGE)
 

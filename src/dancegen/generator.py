@@ -452,6 +452,8 @@ class GadgModel(Module):
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean token-level CE; the max-shift is detached so it only stabilizes."""
     targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != logits.shape[:1]:
+        raise ShapeError(f"{targets.shape} targets for {logits.shape[0]} logit rows")
     k = logits.shape[-1]
     if targets.size and (targets.min() < 0 or targets.max() >= k):
         raise ShapeError(f"targets outside [0, {k})")
@@ -489,8 +491,9 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
     """Teacher-forced training on (music, genre_id, codes) triples.
 
     Music may be a MusicFeatureSequence or a raw [T, 35] array; it is
-    average-pooled to one row per code step. Each step of ``nn.fit`` takes
-    the mean of the batch's per-sequence losses. Returns (model, loss log).
+    average-pooled to one row per code step. Each sequence of a batch is
+    one part of ``nn.fit``'s step loss, in batch order. Returns (model,
+    loss log).
     """
     cfg = cfg or GadgConfig()
     train_cfg = train_cfg or GeneratorTrainConfig()
@@ -514,8 +517,7 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
     model = GadgModel(cfg, seed=train_cfg.seed)
 
     def batch_loss(idx):
-        losses = [teacher_forced_loss(model, *prepared[i]) for i in idx]
-        return sum(losses[1:], losses[0]) * (1.0 / len(idx))
+        return [lambda i=i: teacher_forced_loss(model, *prepared[i]) for i in idx]
 
     return model, fit(model, train_cfg, GENERATOR_BETAS, len(prepared), batch_loss,
                       np.random.default_rng(train_cfg.seed), GENERATOR_STAGE)

@@ -169,10 +169,14 @@ class Adam:
 
 def fit(model: Module, train_cfg, betas: tuple, count: int, batch_loss, rng, stage: str) -> list:
     """The training loop of both stages; returns the loss log. Each step
-    backpropagates ``batch_loss`` of ``min(batch_size, count)`` distinct
-    indices drawn from ``rng`` and takes one Adam step. A non-finite loss
-    or gradient raises a DegenerateInputError naming ``stage`` and the
-    step (from 0, as in the loss log) before the update."""
+    draws ``min(batch_size, count)`` distinct indices from ``rng`` and
+    takes one Adam step on the mean of the parts of ``batch_loss(idx)``, a
+    list of zero-argument callables that each build one part's loss. Each
+    part is backpropagated before the next is built, so one part's tape is
+    alive at a time. A non-finite loss or gradient raises a
+    DegenerateInputError naming ``stage`` and the step (from 0, as in the
+    loss log) before the update; its ``losses`` are the log of the steps
+    before it."""
     named = list(model.named_parameters())
     optim = Adam((p for _, p in named), train_cfg.lr, betas)
     batch = min(train_cfg.batch_size, count)
@@ -180,13 +184,20 @@ def fit(model: Module, train_cfg, betas: tuple, count: int, batch_loss, rng, sta
     for step in range(train_cfg.steps):
         idx = rng.choice(count, size=batch, replace=False)
         optim.zero_grad()
-        loss = batch_loss(idx)
-        loss.backward()
-        value = loss.item()
+        parts = batch_loss(idx)
+        scale = 1.0 / len(parts)
+        value = 0.0
+        for part in parts:
+            loss = part()
+            (loss * scale).backward()
+            value += loss.item()
+        value *= scale
         bad = [name for name, p in named if p.grad is not None and not np.isfinite(p.grad).all()]
         if bad or not np.isfinite(value):
             grads = f"; gradient of {bad[0]} not finite" if bad else ""
-            raise DegenerateInputError(f"{stage} training diverged at step {step}: loss {value}{grads}")
+            err = DegenerateInputError(f"{stage} training diverged at step {step}: loss {value}{grads}")
+            err.losses = losses
+            raise err
         optim.step()
         losses.append(value)
     return losses

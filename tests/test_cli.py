@@ -14,6 +14,7 @@ import pytest
 from checkpoint_files import read_v2, write_v1_checkpoint, write_v2
 from dancegen import cli
 from dancegen import codec as C
+from dancegen import generator as G
 from dancegen import motion as MO
 from dancegen.checkpoint import config_hash
 from dancegen.cli import main, read_loss_log
@@ -127,6 +128,35 @@ def test_train_hfdq_stops_at_non_finite_loss(env, tmp_path, capsys, monkeypatch)
                  "--out-ckpt", str(ckpt)]) == 2
     assert "codec training diverged at step 0: loss nan" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, module, loss_name, stage", [
+    ("train-hfdq", C, "reconstruction_loss", "codec"),
+    ("train-gadg", G, "teacher_forced_loss", "generator"),
+], ids=["train-hfdq", "train-gadg"])
+def test_training_that_diverges_at_step_2_keeps_the_loss_log_of_steps_0_and_1(
+        env, tmp_path, capsys, monkeypatch, command, module, loss_name, stage):
+    # one codec part per step; one generator part per sequence of a batch
+    parts_per_step = 1 if stage == "codec" else TINY["gadg"]["batch_size"]
+    real_loss, calls = getattr(module, loss_name), []
+
+    def nan_from_step_2(*args):
+        calls.append(None)
+        loss = real_loss(*args)
+        return loss * np.nan if len(calls) > 2 * parts_per_step else loss
+
+    monkeypatch.setattr(module, loss_name, nan_from_step_2)
+    ckpt = tmp_path / "out.ckpt"
+    argv = [command, "--config", str(env["cfg"]), "--data", str(env["data"]),
+            "--out-ckpt", str(ckpt)]
+    if command == "train-gadg":
+        argv += ["--hfdq-ckpt", str(env["codec"])]
+    assert main(argv) == 2
+    assert f"{stage} training diverged at step 2: loss nan" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.ckpt.losses.txt"]
+    losses = read_loss_log(str(ckpt) + ".losses.txt")
+    assert losses.shape == (2,)
+    assert np.isfinite(losses).all()
 
 
 def test_train_requires_data_dir(env, tmp_path):

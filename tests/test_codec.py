@@ -332,6 +332,25 @@ def test_train_codec_reduces_loss():
     assert all(np.isfinite(losses))
 
 
+def test_train_codec_step_matches_one_batched_backward_bitwise():
+    # the codec's step loss is one part: the whole batch in one graph
+    clips = tiny_clips(n=4)
+    train_cfg = CodecTrainConfig(steps=1, batch_size=3, lr=2e-3, seed=1)
+    trained, losses = train_codec(clips, cfg=small_cfg(), train_cfg=train_cfg)
+    model = CodecModel(small_cfg(), seed=train_cfg.seed)
+    stack = np.stack(clips)
+    joints = C._flatten_joints(MO.forward_kinematics(stack))
+    idx = np.random.default_rng(train_cfg.seed).choice(4, size=3, replace=False)
+    frames = Tensor(stack[idx])
+    frames_hat, _, _ = model.reconstruct(frames)
+    loss = reconstruction_loss(frames_hat, frames, C._flatten_joints(MO.forward_kinematics(frames_hat)),
+                               Tensor(joints[idx]), LossConfig())
+    loss.backward()
+    assert losses == [loss.item()]
+    for (name, p), (_, q) in zip(trained.named_parameters(), model.named_parameters()):
+        assert np.array_equal(p.grad, q.grad), name
+
+
 def test_train_codec_input_validation():
     with pytest.raises(Exception):
         train_codec([], cfg=small_cfg(), train_cfg=CodecTrainConfig(steps=1))

@@ -369,6 +369,9 @@ def test_cross_entropy_rejects_bad_targets():
         cross_entropy(logits, np.array([0, 5, 1]))
     with pytest.raises(ShapeError):
         cross_entropy(logits, np.array([-1, 0, 1]))
+    for targets in ([2], [0, 1], [0, 1, 2, 0], [[0, 1, 2]]):
+        with pytest.raises(ShapeError, match="3 logit rows"):
+            cross_entropy(logits, np.array(targets))
 
 
 def test_cross_entropy_gradients():
@@ -554,6 +557,72 @@ def test_train_generator_reduces_loss():
         GeneratorTrainConfig(steps=60, batch_size=1, lr=3e-3, seed=0),
     )
     assert np.mean(losses[-5:]) < 0.5 * np.mean(losses[:5])
+
+
+def batch_sum_oracle(dataset, cfg, train_cfg):
+    """The loss and parameter gradients of step 0 as one graph: every
+    sequence's tape alive at once, summed, then one backward."""
+    model = GadgModel(cfg, seed=train_cfg.seed)
+    batch = min(train_cfg.batch_size, len(dataset))
+    idx = np.random.default_rng(train_cfg.seed).choice(len(dataset), size=batch, replace=False)
+    losses = [teacher_forced_loss(model, pool_music(dataset[i][0], cfg.frames_per_code),
+                                  dataset[i][1], dataset[i][2]) for i in idx]
+    loss = sum(losses[1:], losses[0]) * (1.0 / len(idx))
+    loss.backward()
+    return loss.item(), model
+
+
+def sequences_sharing_an_expert(cfg, t_lens=(6, 8, 7, 8)):
+    """Four sequences with genres 0, 1, 0, 0, so that any batch of two or
+    more of them routes two through expert 0."""
+    data = [random_sequence(cfg, t_len, seed=20 + i) for i, t_len in enumerate(t_lens)]
+    return [(music, genre, codes) for (music, codes), genre in zip(data, (0, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4])
+def test_train_generator_step_matches_batch_sum_oracle_bitwise(batch_size):
+    cfg = tiny_cfg()
+    dataset = sequences_sharing_an_expert(cfg)
+    train_cfg = GeneratorTrainConfig(steps=1, batch_size=batch_size, lr=3e-3, seed=5)
+    model, losses = train_generator(dataset, cfg, train_cfg)
+    value, oracle = batch_sum_oracle(dataset, cfg, train_cfg)
+    assert losses == [value]
+    for (name, p), (_, q) in zip(model.named_parameters(), oracle.named_parameters()):
+        assert (p.grad is None) == (q.grad is None), name
+        assert p.grad is None or np.array_equal(p.grad, q.grad), name
+
+
+def traced(fn):
+    """``fn()``, the bytes it leaves held and its peak, both above what
+    tracemalloc traced when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+        return out, held - before, peak - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_train_generator_keeps_one_sequence_tape_alive():
+    # each sequence is backpropagated, and its tape freed, before the next
+    # is built; a batch whose tapes are all alive at once peaks about
+    # (batch - 1) tapes above batch 1
+    cfg = tiny_cfg(model_dim=32, num_genres=2, ff_dim=64, state_dim=8, dropout=0.0)
+    dataset = [(music, i % 2, codes)
+               for i, (music, codes) in enumerate(random_sequence(cfg, 24, seed=i) for i in range(4))]
+    model = GadgModel(cfg, seed=0)
+    music, genre, codes = dataset[0]
+    _, tape, _ = traced(
+        lambda: teacher_forced_loss(model, pool_music(music, cfg.frames_per_code), genre, codes))
+    peaks = [traced(lambda: train_generator(dataset, cfg, GeneratorTrainConfig(steps=1, batch_size=b)))[2]
+             for b in (1, 4)]
+    growth = peaks[1] - peaks[0]
+    assert growth < 0.5 * tape, f"batch 4 peaks {growth / tape:.2f} tapes above batch 1"
 
 
 def test_train_generator_validates_inputs():

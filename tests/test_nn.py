@@ -1,5 +1,7 @@
-"""The training loop both stages share: the batches it draws, its loss log,
-and its stop before the first step whose loss or gradient is not finite."""
+"""The training loop both stages share: the batches it draws, the mean of
+the parts of a batch's loss, each backpropagated before the next is built,
+its loss log, and its stop before the first step whose loss or gradient is
+not finite."""
 
 from types import SimpleNamespace
 
@@ -22,18 +24,24 @@ class Toy(Module):
 
 
 def recording_loss(model, drawn, bad_step=None, bad="loss"):
-    """The squared error of ``w`` to the drawn targets. Records each batch;
-    at step ``bad_step`` the ``bad`` loss value or gradient is NaN."""
+    """One part: the squared error of ``w`` to the drawn targets. Records
+    each batch; at step ``bad_step`` the ``bad`` loss value or gradient is
+    NaN."""
 
     def batch_loss(idx):
         drawn.append(idx.copy())
-        diff = model.w - Tensor(TARGETS[idx])
-        loss = T.reduce_mean(diff * diff)
-        if len(drawn) - 1 != bad_step:
-            return loss
-        if bad == "loss":
-            return loss * np.nan
-        return loss + T.reduce_sum(T.sqrt(model.w * 0.0))  # value 0, gradient 0 * inf
+        step = len(drawn) - 1
+
+        def part():
+            diff = model.w - Tensor(TARGETS[idx])
+            loss = T.reduce_mean(diff * diff)
+            if step != bad_step:
+                return loss
+            if bad == "loss":
+                return loss * np.nan
+            return loss + T.reduce_sum(T.sqrt(model.w * 0.0))  # value 0, gradient 0 * inf
+
+        return [part]
 
     return batch_loss
 
@@ -64,10 +72,40 @@ def test_fit_draws_each_batch_from_rng_and_logs_every_step(batch_size):
 ])
 def test_fit_stops_before_the_first_non_finite_step(bad, message):
     model, drawn = Toy(), []
-    with pytest.raises(DegenerateInputError, match=message):
+    with pytest.raises(DegenerateInputError, match=message) as stop:
         run_fit(model, 5, 2, 3, drawn, bad_step=2, bad=bad)
     assert len(drawn) == 3
+    assert len(stop.value.losses) == 2
     after_steps_0_and_1 = Toy()
     run_fit(after_steps_0_and_1, 2, 2, 3, [])
     assert model.w.data.tolist() == after_steps_0_and_1.w.data.tolist()
     assert model.w.data[0] != 1.0
+
+
+def test_fit_steps_on_the_mean_of_three_parts_built_one_at_a_time():
+    model = Toy()
+    values, grads_at_build = [], []
+
+    def batch_loss(idx):
+        def part(target):
+            def build():
+                grads_at_build.append(None if model.w.grad is None else model.w.grad.copy())
+                diff = model.w - Tensor(np.array([target]))
+                loss = T.reduce_sum(diff * diff)
+                values.append(loss.item())
+                return loss
+
+            return build
+
+        return [part(t) for t in TARGETS[:3]]
+
+    cfg = SimpleNamespace(steps=1, batch_size=1, lr=0.1)
+    losses = fit(model, cfg, BETAS, 1, batch_loss, np.random.default_rng(0), "toy")
+    v0, v1, v2 = values
+    assert losses == [(v0 + v1 + v2) * (1 / 3)]
+    # each part is backpropagated, scaled by 1/3, before the next is built
+    part_grads = [2.0 * (1.0 - t) / 3 for t in TARGETS[:3]]
+    assert grads_at_build[0] is None
+    assert grads_at_build[1] == pytest.approx([part_grads[0]], rel=1e-15)
+    assert grads_at_build[2] == pytest.approx([part_grads[0] + part_grads[1]], rel=1e-15)
+    assert model.w.grad == pytest.approx([sum(part_grads)], rel=1e-15)
