@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end desk demo: synthesize a paired dataset, train both stages,
-generate motions for every genre, and score them against the dataset.
+"""End-to-end desk demo of every CLI command: synthesize a paired dataset,
+train the codec, round-trip one dataset clip through encode and decode,
+train the generator, generate motions for every genre, and score them
+against the dataset.
 
 Runs in about a minute with the default small settings. Pass --full for
 the built-in desk-scale config (much slower, better reconstructions).
@@ -56,6 +58,12 @@ def main():
 
     codec = root / "codec.ckpt"
     run(["train-hfdq", *cfg_args, "--data", str(data), "--out-ckpt", str(codec)])
+
+    clip = data / "clip_0000.motion.txt"
+    codes = root / "clip_0000.codes.txt"
+    run(["encode", "--ckpt", str(codec), "--in", str(clip), "--out", str(codes)])
+    run(["decode", "--ckpt", str(codec), "--in", str(codes),
+         "--out", str(root / "clip_0000.decoded.motion.txt")])
 
     gen = root / "generator.ckpt"
     run(["train-gadg", *cfg_args, "--data", str(data),

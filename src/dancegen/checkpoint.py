@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -90,13 +91,14 @@ def load_checkpoint(path, expected_stage: str):
     return doc["config"], params
 
 
-def load_model(path, stage: str, keys, build):
-    """The model ``build(config)`` makes from the config of a ``stage``
-    checkpoint, holding its saved parameters. The config must hold exactly
-    the ``keys``, and parameter names and shapes must match exactly. A
-    missing or unknown key, and a config that ``build`` rejects, are each a
-    FormatError naming ``path``, like every other fault of the document."""
+def load_model(path, stage: str, config_cls, model_cls):
+    """``model_cls(config_cls(**config))`` from the config of a ``stage``
+    checkpoint, holding its saved parameters. The config keys must be
+    exactly the fields of the ``config_cls`` dataclass, and parameter names
+    and shapes must match. Each fault, a config that either class rejects
+    among them, is a FormatError naming ``path``."""
     config, params = load_checkpoint(path, stage)
+    keys = [f.name for f in fields(config_cls)]
     for key in keys:
         if key not in config:
             raise FormatError(f"{path}: {stage} config has no key {key!r}")
@@ -104,8 +106,8 @@ def load_model(path, stage: str, keys, build):
         if key not in keys:
             raise FormatError(f"{path}: unknown {stage} config key {key!r}")
     try:
-        model = build(config)
-    except (DancegenError, KeyError, TypeError, ValueError) as e:
+        model = model_cls(config_cls(**config))
+    except (DancegenError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad {stage} config: {type(e).__name__}: {e}") from None
     model_params = dict(model.named_parameters())
     missing = set(model_params) - set(params)

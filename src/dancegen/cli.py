@@ -163,7 +163,7 @@ def cmd_train_hfdq(args) -> int:
     model, losses = _train(
         loss_log, train_codec, clips, cfg.fsq_config(), cfg.loss_config(), cfg.codec_train_config()
     )
-    save_codec(args.out_ckpt, model, cfg.loss_config())
+    save_codec(args.out_ckpt, model)
     write_loss_log(loss_log, losses)
     print(
         f"codec trained for {len(losses)} steps on {len(clips)} clips; "

@@ -13,7 +13,7 @@ the per-channel levels, so encode/decode of indices is a pure bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -463,33 +463,9 @@ def train_codec(
 CODEC_STAGE = "codec"
 
 
-def codec_config_dict(cfg: FsqConfig, loss_cfg: LossConfig | None = None) -> dict:
-    """The checkpoint's config. The body split is fixed, but it is still
-    written so the saved bytes and ``config_hash`` stay as they were."""
-    loss_cfg = loss_cfg or LossConfig()
-    return {
-        "levels": list(cfg.levels),
-        "feature_dim": cfg.feature_dim,
-        "lower_joints": list(MO.LOWER_JOINTS),
-        "upper_joints": list(MO.UPPER_JOINTS),
-        "velocity_weight": loss_cfg.velocity_weight,
-        "accel_weight": loss_cfg.accel_weight,
-    }
-
-
-def save_codec(path, model: CodecModel, loss_cfg: LossConfig | None = None) -> None:
-    config = codec_config_dict(model.cfg, loss_cfg)
-    save_checkpoint(path, CODEC_STAGE, config, model.named_parameters())
-
-
-def _codec_from_config(config: dict) -> CodecModel:
-    expected = codec_config_dict(FsqConfig())
-    for key in ("lower_joints", "upper_joints"):
-        if config[key] != expected[key]:
-            raise ConfigError(f"{key} {config[key]} is not the body split {expected[key]}")
-    cfg = FsqConfig(levels=tuple(config["levels"]), feature_dim=config["feature_dim"])
-    return CodecModel(cfg)
+def save_codec(path, model: CodecModel) -> None:
+    save_checkpoint(path, CODEC_STAGE, asdict(model.cfg), model.named_parameters())
 
 
 def load_codec(path) -> CodecModel:
-    return load_model(path, CODEC_STAGE, codec_config_dict(FsqConfig()).keys(), _codec_from_config)
+    return load_model(path, CODEC_STAGE, FsqConfig, CodecModel)

@@ -501,13 +501,16 @@ def train_generator(dataset, cfg: GadgConfig | None = None,
         raise InputError("generator training needs at least one sequence")
 
     prepared = []
-    for music, genre_id, codes in dataset:
-        frames = getattr(music, "frames", music)
-        pooled = pool_music(frames, cfg.frames_per_code)
-        if pooled.shape[0] != codes.latent_len:
-            raise ShapeError(
-                f"music pools to {pooled.shape[0]} steps but codes have {codes.latent_len}"
-            )
+    for i, (music, genre_id, codes) in enumerate(dataset):
+        if not 0 <= genre_id < cfg.num_genres:
+            raise RoutingError(f"sequence {i}: genre id {genre_id} outside [0, {cfg.num_genres})")
+        pooled = pool_music(getattr(music, "frames", music), cfg.frames_per_code)
+        if pooled.shape != (codes.latent_len, cfg.music_dim):
+            raise ShapeError(f"sequence {i}: music pools to {list(pooled.shape)}, but its codes "
+                             f"and the model need [{codes.latent_len}, {cfg.music_dim}]")
+        if codes.latent_len > cfg.max_positions:
+            raise ShapeError(f"sequence {i}: {codes.latent_len} code steps exceed "
+                             f"the positional table {cfg.max_positions}")
         if codes.codebook_size != cfg.codebook_size:
             raise ConfigError(
                 f"codes use a {codes.codebook_size}-way codebook, model expects {cfg.codebook_size}"
@@ -609,5 +612,4 @@ def save_generator(path, model: GadgModel) -> None:
 
 
 def load_generator(path) -> GadgModel:
-    return load_model(path, GENERATOR_STAGE, [f.name for f in fields(GadgConfig)],
-                      lambda config: GadgModel(GadgConfig(**config)))
+    return load_model(path, GENERATOR_STAGE, GadgConfig, GadgModel)

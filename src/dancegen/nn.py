@@ -39,11 +39,11 @@ class Rng:
     def uniform(self, shape, low: float, high: float) -> np.ndarray:
         return self.generator.uniform(low, high, size=shape)
 
-    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+    def normal(self, shape, std: float) -> np.ndarray:
         return self.generator.normal(0.0, std, size=shape)
 
 
-def fan_in_uniform(rng: Rng, shape, fan_in: int, gain: float = 1.0) -> np.ndarray:
+def fan_in_uniform(rng: Rng, shape, fan_in: int, gain: float) -> np.ndarray:
     """Default weight init: uniform(-gain/sqrt(fan_in), +gain/sqrt(fan_in))."""
     bound = gain / np.sqrt(fan_in)
     return rng.uniform(shape, -bound, bound)

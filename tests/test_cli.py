@@ -6,6 +6,7 @@ of the trained pipeline itself lives in the acceptance suite.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,9 @@ def test_train_hfdq_outputs(env):
     assert losses[-1] < losses[0]
     header, _ = read_v2(env["codec"])
     assert header["stage"] == "codec"
-    assert header["config"]["velocity_weight"] == 0.5
+    fsq = load_config(env["cfg"]).fsq_config()
+    assert fsq.feature_dim == TINY["hfdq"]["feature_dim"]
+    assert header["config"] == json.loads(json.dumps(asdict(fsq)))
 
 
 def test_train_gadg_outputs(env):
@@ -391,21 +394,20 @@ def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["swap_joint", "reorder_upper"])
-def test_checkpoint_with_another_body_split_is_rejected(env, tmp_path, capsys, edit):
+def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, capsys):
+    # the codec header of earlier releases also held the body split and
+    # the two loss weights, which no loader read
     header, arrays = read_v2(env["codec"])
-    config = header["config"]
-    if edit == "swap_joint":  # same widths, so every parameter shape still fits
-        config["lower_joints"] = [12 if j == 11 else j for j in MO.LOWER_JOINTS]
-        config["upper_joints"] = [11 if j == 12 else j for j in MO.UPPER_JOINTS]
-        key = "lower_joints"
-    else:
-        config["upper_joints"] = list(reversed(MO.UPPER_JOINTS))
-        key = "upper_joints"
+    loss = load_config(env["cfg"]).loss_config()
+    config = {**header["config"], "lower_joints": list(MO.LOWER_JOINTS),
+              "upper_joints": list(MO.UPPER_JOINTS), "velocity_weight": loss.velocity_weight,
+              "accel_weight": loss.accel_weight}
+    header["config"] = config
     header["config_hash"] = config_hash(config)
-    bad = tmp_path / "split.ckpt"
+    bad = tmp_path / "old.ckpt"
     write_v2(bad, header, arrays)
-    with pytest.raises(FormatError, match=key) as err:
+    message = "unknown codec config key 'lower_joints'"
+    with pytest.raises(FormatError, match=message) as err:
         load_codec(bad)
     assert str(bad) in str(err.value)
     codes = tmp_path / "zero.codes.txt"
@@ -414,7 +416,7 @@ def test_checkpoint_with_another_body_split_is_rejected(env, tmp_path, capsys, e
     out = tmp_path / "x.motion.txt"
     assert main(["decode", "--ckpt", str(bad), "--in", str(codes), "--out", str(out)]) == 2
     stderr = capsys.readouterr().err
-    assert str(bad) in stderr and key in stderr
+    assert str(bad) in stderr and message in stderr
     assert not out.exists()
 
 

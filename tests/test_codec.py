@@ -399,6 +399,12 @@ def test_checkpoint_loads_bitwise_equal(tmp_path):
         assert loaded[name].data.tobytes() == value.tobytes()
 
 
+def test_codec_checkpoint_bytes_are_deterministic(tmp_path):
+    C.save_codec(tmp_path / "a.ckpt", CodecModel(small_cfg(), seed=5))
+    C.save_codec(tmp_path / "b.ckpt", CodecModel(small_cfg(), seed=5))
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
 def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "codec.ckpt"
     C.save_codec(path, CodecModel(small_cfg(), seed=1))

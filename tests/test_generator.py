@@ -637,6 +637,37 @@ def test_train_generator_validates_inputs():
         train_generator([(music, 0, foreign)], cfg)
 
 
+@pytest.mark.parametrize("fault, error", [
+    ("genre_too_high", RoutingError),
+    ("genre_negative", RoutingError),
+    ("too_many_steps", ShapeError),
+    ("music_too_wide", ShapeError),
+])
+def test_train_generator_checks_every_sequence_before_building_the_model(fault, error, monkeypatch):
+    cfg = tiny_cfg()
+    dataset = []
+    for i in range(4):
+        music, codes = random_sequence(cfg, 6, seed=i)
+        dataset.append((music, i % cfg.num_genres, codes))
+    music, _, codes = dataset[2]
+    if fault == "genre_too_high":
+        dataset[2] = (music, cfg.num_genres, codes)
+    elif fault == "genre_negative":
+        dataset[2] = (music, -1, codes)
+    elif fault == "too_many_steps":
+        music, codes = random_sequence(cfg, cfg.max_positions + 1, seed=9)
+        dataset[2] = (music, 0, codes)
+    else:
+        dataset[2] = (np.concatenate([music, music[:, :1]], axis=1), 0, codes)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the model was built before the data was checked")
+
+    monkeypatch.setattr("dancegen.generator.GadgModel", no_model)
+    with pytest.raises(error, match="sequence 2"):
+        train_generator(dataset, cfg, GeneratorTrainConfig(steps=1, batch_size=1))
+
+
 # ---------------------------------------------------------------------------
 # Generation
 
