@@ -394,19 +394,12 @@ def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
     assert not out.exists()
 
 
-def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, capsys):
-    # the codec header of earlier releases also held the body split and
-    # the two loss weights, which no loader read
+def _assert_codec_config_refused(env, tmp_path, capsys, config, message):
     header, arrays = read_v2(env["codec"])
-    loss = load_config(env["cfg"]).loss_config()
-    config = {**header["config"], "lower_joints": list(MO.LOWER_JOINTS),
-              "upper_joints": list(MO.UPPER_JOINTS), "velocity_weight": loss.velocity_weight,
-              "accel_weight": loss.accel_weight}
     header["config"] = config
     header["config_hash"] = config_hash(config)
     bad = tmp_path / "old.ckpt"
     write_v2(bad, header, arrays)
-    message = "unknown codec config key 'lower_joints'"
     with pytest.raises(FormatError, match=message) as err:
         load_codec(bad)
     assert str(bad) in str(err.value)
@@ -418,6 +411,33 @@ def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, ca
     stderr = capsys.readouterr().err
     assert str(bad) in stderr and message in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["swap_joint", "reorder_upper"])
+def test_checkpoint_with_another_body_split_is_rejected(env, tmp_path, capsys, edit):
+    # the body split is fixed by the skeleton, not by the checkpoint: a header
+    # that carries one, even a split other than the fixed one, is refused
+    config = dict(read_v2(env["codec"])[0]["config"])
+    if edit == "swap_joint":  # same widths, so every parameter shape still fits
+        config["lower_joints"] = [12 if j == 11 else j for j in MO.LOWER_JOINTS]
+        config["upper_joints"] = [11 if j == 12 else j for j in MO.UPPER_JOINTS]
+        key = "lower_joints"
+    else:
+        config["upper_joints"] = list(reversed(MO.UPPER_JOINTS))
+        key = "upper_joints"
+    _assert_codec_config_refused(env, tmp_path, capsys, config,
+                                 f"unknown codec config key '{key}'")
+
+
+def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, capsys):
+    # the codec header of earlier releases also held the body split and
+    # the two loss weights, which no loader read
+    loss = load_config(env["cfg"]).loss_config()
+    config = {**read_v2(env["codec"])[0]["config"], "lower_joints": list(MO.LOWER_JOINTS),
+              "upper_joints": list(MO.UPPER_JOINTS), "velocity_weight": loss.velocity_weight,
+              "accel_weight": loss.accel_weight}
+    _assert_codec_config_refused(env, tmp_path, capsys, config,
+                                 "unknown codec config key 'lower_joints'")
 
 
 def test_checkpoint_given_as_codes_file_is_validation_error(env, tmp_path, capsys):
