@@ -23,7 +23,9 @@ of ``selective_scan`` on a case with some channels at a = -1e-13, where
 |dt * a| < 1e-6 takes the series branch, from a seeded state h, and the
 sha256 of the checkpoint files ``save_codec`` and ``save_generator`` write
 for the seed-0 desk models, which catch any change to a checkpoint's
-header or its config_hash. The parameter gradients catch a reordered sum
+header or its config_hash, and the codes (argmax and top-k 8, 32 codes) and
+decoded frames of those two models after a save and a load, which cover
+the load path. The parameter gradients catch a reordered sum
 that the trained loss logs can round away. Run each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
@@ -109,6 +111,7 @@ def dump(src: str, out: str) -> None:
     res["scan_series"] = scan_series(T)
     res["codec_checkpoint_sha256"] = checkpoint_sha256(dg.save_codec, model)
     res["generator_checkpoint_sha256"] = checkpoint_sha256(dg.save_generator, generator)
+    res["loaded_pipeline"] = loaded_pipeline(dg, generator, model, tracks[0])
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
@@ -160,6 +163,24 @@ def checkpoint_sha256(save, model) -> np.ndarray:
         path = Path(tmp) / "model.ckpt"
         save(path, model)
         return np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), dtype=np.uint8)
+
+
+def loaded_pipeline(dg, generator, codec, music) -> np.ndarray:
+    """The upper and lower codes, argmax then top-k 8 at seed 0, that
+    ``generator`` read back from its saved checkpoint generates for 256
+    frames of ``music``, each followed by the frames ``codec`` read back
+    from its checkpoint decodes from them, flattened into one vector."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dg.save_generator(Path(tmp) / "gen.ckpt", generator)
+        dg.save_codec(Path(tmp) / "codec.ckpt", codec)
+        generator = dg.load_generator(Path(tmp) / "gen.ckpt")
+        codec = dg.load_codec(Path(tmp) / "codec.ckpt")
+    parts = []
+    for top_k in (None, 8):
+        codes = dg.generate(generator, music.frames, music.genre_id, 256,
+                            top_k=top_k, temperature=1.0, seed=0)
+        parts += [codes.upper, codes.lower, codec.decode(codes).ravel()]
+    return np.concatenate(parts)
 
 
 def compare(a: str, b: str) -> int:

@@ -22,6 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import DancegenError, DependencyError, FormatError
+from .nn import placeholder_init
 from .textfile import atomic_write
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
@@ -96,7 +97,9 @@ def load_model(path, stage: str, config_cls, model_cls):
     checkpoint, holding its saved parameters. The config keys must be
     exactly the fields of the ``config_cls`` dataclass, and parameter names
     and shapes must match. Each fault, a config that either class rejects
-    among them, is a FormatError naming ``path``."""
+    among them, is a FormatError naming ``path``. The model is built under
+    ``nn.placeholder_init()``, so no random init is drawn for the saved
+    arrays to replace and each parameter is allocated once, by the read."""
     config, params = load_checkpoint(path, stage)
     keys = [f.name for f in fields(config_cls)]
     for key in keys:
@@ -106,7 +109,8 @@ def load_model(path, stage: str, config_cls, model_cls):
         if key not in keys:
             raise FormatError(f"{path}: unknown {stage} config key {key!r}")
     try:
-        model = model_cls(config_cls(**config))
+        with placeholder_init():
+            model = model_cls(config_cls(**config))
     except (DancegenError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad {stage} config: {type(e).__name__}: {e}") from None
     model_params = dict(model.named_parameters())

@@ -74,8 +74,10 @@ class GadgConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ConfigError(f"{f.name} must be positive, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            # ``type(value) is int`` keeps out floats and booleans
+            if f.type == "int" and (type(value) is not int or value < 1):
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"

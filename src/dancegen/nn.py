@@ -8,6 +8,8 @@ seed and the same module tree always produce the same weights.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 from typing import Iterator
 
@@ -17,8 +19,29 @@ from .errors import ConfigError, ContractError, DegenerateInputError
 from .tensor import Parameter, Tensor
 
 
+_PLACEHOLDER_INIT = contextvars.ContextVar("placeholder_init", default=False)
+
+
+@contextlib.contextmanager
+def placeholder_init():
+    """Within this block ``Rng.uniform`` and ``Rng.normal`` draw nothing:
+    each returns ``np.broadcast_to(0.0, shape)``, a read-only view with
+    zero strides that allocates no array. A model built here is only a
+    frame for parameters that replace every one of its arrays; a
+    placeholder left in it fails on its first in-place update."""
+    token = _PLACEHOLDER_INIT.set(True)
+    try:
+        yield
+    finally:
+        _PLACEHOLDER_INIT.reset(token)
+
+
 class Rng:
-    """Deterministic, splittable random stream keyed by (seed, name path)."""
+    """Deterministic, splittable random stream keyed by (seed, name path).
+
+    ``uniform`` and ``normal`` return placeholders instead of draws inside
+    ``placeholder_init()``; ``generator`` always gives the real stream.
+    """
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed)
@@ -37,9 +60,13 @@ class Rng:
         return self._gen
 
     def uniform(self, shape, low: float, high: float) -> np.ndarray:
+        if _PLACEHOLDER_INIT.get():
+            return np.broadcast_to(np.float64(0.0), shape)
         return self.generator.uniform(low, high, size=shape)
 
     def normal(self, shape, std: float) -> np.ndarray:
+        if _PLACEHOLDER_INIT.get():
+            return np.broadcast_to(np.float64(0.0), shape)
         return self.generator.normal(0.0, std, size=shape)
 
 

@@ -327,6 +327,7 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     ("gen", "missing_config_key"), ("codec", "missing_config_key"),
     ("gen", "window_step_over_autoregressive_step"),
     ("gen", "v1_json"), ("codec", "v1_json"),
+    ("codec", "float_level"), ("gen", "bool_config_int"), ("gen", "float_config_int"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
     header, arrays = read_v2(env[stage])
@@ -350,6 +351,12 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         del header["config"][missing]
     elif edit == "window_step_over_autoregressive_step":
         header["config"].update(autoregressive_step=4, window_step=8)
+    elif edit == "float_level":  # int() would load this as a 7-level codec
+        header["config"]["levels"][0] = 7.9
+    elif edit == "bool_config_int":
+        header["config"]["num_layers"] = True
+    elif edit == "float_config_int":
+        header["config"]["model_dim"] = float(header["config"]["model_dim"])
     bad = tmp_path / "bad.ckpt"
     if edit == "truncated":  # a copy killed halfway
         data = env[stage].read_bytes()
@@ -373,6 +380,10 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         assert "window_step 8" in err
     if edit == "v1_json":
         assert "v1" in err
+    field = {"float_level": "levels", "bool_config_int": "num_layers",
+             "float_config_int": "model_dim"}.get(edit)
+    if field:
+        assert f"{field} must be" in err
     assert not out.exists()
 
 
