@@ -25,7 +25,10 @@ sha256 of the checkpoint files ``save_codec`` and ``save_generator`` write
 for the seed-0 desk models, which catch any change to a checkpoint's
 header or its config_hash, and the codes (argmax and top-k 8, 32 codes) and
 decoded frames of those two models after a save and a load, which cover
-the load path. The parameter gradients catch a reordered sum
+the load path, and the config_hash of a pipeline config read from a file
+that sets JSON integers in number fields and a level list, and of each
+stage config built from it, which catch a reader that changes a value's
+type. The parameter gradients catch a reordered sum
 that the trained loss logs can round away. Run each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
@@ -35,6 +38,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -112,6 +116,7 @@ def dump(src: str, out: str) -> None:
     res["codec_checkpoint_sha256"] = checkpoint_sha256(dg.save_codec, model)
     res["generator_checkpoint_sha256"] = checkpoint_sha256(dg.save_generator, generator)
     res["loaded_pipeline"] = loaded_pipeline(dg, generator, model, tracks[0])
+    res["config_hashes"] = config_hashes(dg)
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
@@ -181,6 +186,24 @@ def loaded_pipeline(dg, generator, codec, music) -> np.ndarray:
                             top_k=top_k, temperature=1.0, seed=0)
         parts += [codes.upper, codes.lower, codec.decode(codes).ravel()]
     return np.concatenate(parts)
+
+
+def config_hashes(dg) -> np.ndarray:
+    """The config_hash of ``load_config(f).to_dict()`` and of ``asdict`` of
+    each stage config built from it, for a file ``f`` that sets ``dropout``
+    0, ``lr`` 1 and ``levels`` [3, 3]. A reader that turned a JSON integer
+    into a float would change them, and so a generator header's bytes."""
+    from dancegen.checkpoint import config_hash
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({"hfdq": {"levels": [3, 3], "lr": 1},
+                                    "gadg": {"dropout": 0, "lr": 1}}))
+        cfg = dg.load_config(path)
+    stages = (cfg.fsq_config(), cfg.loss_config(), cfg.codec_train_config(),
+              cfg.gadg_config(), cfg.generator_train_config())
+    return np.array([config_hash(cfg.to_dict())]
+                    + [config_hash(dataclasses.asdict(stage)) for stage in stages])
 
 
 def compare(a: str, b: str) -> int:

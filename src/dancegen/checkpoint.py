@@ -17,13 +17,12 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import fields
 
 import numpy as np
 
 from .errors import DancegenError, DependencyError, FormatError
 from .nn import placeholder_init
-from .textfile import atomic_write
+from .textfile import atomic_write, dataclass_from_json
 
 CHECKPOINT_FORMAT = "dancegen-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -52,12 +51,11 @@ def save_checkpoint(path, stage: str, config: dict, named_params) -> None:
 
 
 def load_checkpoint(path, expected_stage: str):
-    """Returns (config, params: dict name -> float64 ndarray) of an
+    """Returns (config as read, params: dict name -> float64 ndarray) of an
     ``expected_stage`` checkpoint. A file that is not a zip archive (a v1
     JSON checkpoint among them), a truncated or malformed archive, a header
-    of another format, version or stage or without a config object, a
-    member that is not float64, and a parameter with a non-finite value are
-    each a FormatError naming ``path``."""
+    of another format, version or stage, a member that is not float64, and
+    a parameter with a non-finite value are each a FormatError naming ``path``."""
     if not os.path.exists(path):
         raise DependencyError(f"checkpoint not found: {path}")
     try:
@@ -82,35 +80,26 @@ def load_checkpoint(path, expected_stage: str):
         raise FormatError(
             f"{path}: stage {doc.get('stage')!r} does not match expected {expected_stage!r}"
         )
-    if not isinstance(doc.get("config"), dict):
-        raise FormatError(f"{path}: checkpoint config must be a JSON object")
     for name, value in params.items():
         if not isinstance(value, np.ndarray) or value.dtype != np.float64:
             raise FormatError(f"{path}: parameter {name} is not a float64 array")
         if not np.isfinite(value).all():
             raise FormatError(f"{path}: parameter {name} holds non-finite values")
-    return doc["config"], params
+    return doc.get("config"), params
 
 
 def load_model(path, stage: str, config_cls, model_cls):
     """``model_cls(config_cls(**config))`` from the config of a ``stage``
-    checkpoint, holding its saved parameters. The config keys must be
-    exactly the fields of the ``config_cls`` dataclass, and parameter names
-    and shapes must match. Each fault, a config that either class rejects
+    checkpoint, holding its saved parameters. ``textfile.dataclass_from_json``
+    reads the config, which must set every field; parameter names and shapes
+    must match. Each fault, a config that the reader or either class rejects
     among them, is a FormatError naming ``path``. The model is built under
     ``nn.placeholder_init()``, so no random init is drawn for the saved
     arrays to replace and each parameter is allocated once, by the read."""
     config, params = load_checkpoint(path, stage)
-    keys = [f.name for f in fields(config_cls)]
-    for key in keys:
-        if key not in config:
-            raise FormatError(f"{path}: {stage} config has no key {key!r}")
-    for key in config:
-        if key not in keys:
-            raise FormatError(f"{path}: unknown {stage} config key {key!r}")
     try:
         with placeholder_init():
-            model = model_cls(config_cls(**config))
+            model = model_cls(dataclass_from_json(config_cls, config, "header config", True))
     except (DancegenError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad {stage} config: {type(e).__name__}: {e}") from None
     model_params = dict(model.named_parameters())

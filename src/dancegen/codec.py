@@ -44,12 +44,10 @@ class FsqConfig:
     feature_dim: int = 64
 
     def __post_init__(self):
-        # ``type(v) is int`` keeps out floats, which int() would truncate,
-        # and booleans, which Python counts as ints
         self.levels = tuple(self.levels)
-        if not self.levels or any(type(v) is not int or v < 2 for v in self.levels):
+        if not self.levels or any(v < 2 for v in self.levels):
             raise ConfigError(f"levels must be a nonempty list of integers >= 2, got {list(self.levels)}")
-        if type(self.feature_dim) is not int or self.feature_dim < 1:
+        if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be a positive integer, got {self.feature_dim!r}")
 
     @property

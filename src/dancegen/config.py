@@ -3,10 +3,11 @@
 The ``hfdq``, ``gadg`` and ``data`` sections are built from the stage
 dataclasses they feed, so each field's type and default is declared once,
 on the stage class; a section only chooses which stage fields are settable.
-Every key is validated against its section; unknown keys are rejected by
-name so a typo cannot silently fall back to a default. Nothing is stated
-twice: the generator's codebook size is derived from the codec level list,
-and ``gadg.num_genres`` is also the genre count ``synth-data`` cycles over.
+``textfile.dataclass_from_json``, which reads checkpoint headers too, reads
+each section and refuses an unknown key or a mistyped value by name, so a
+typo cannot silently fall back to a default. Nothing is stated twice: the
+generator's codebook size is derived from the codec level list, and
+``gadg.num_genres`` is also the genre count ``synth-data`` cycles over.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from . import textfile as TF
-from .codec import CodecTrainConfig, FsqConfig, LossConfig
+from .codec import DOWNSAMPLE, CodecTrainConfig, FsqConfig, LossConfig
 from .errors import ConfigError, FormatError
 from .generator import GadgConfig, GeneratorTrainConfig
 from .metrics import BAS_SIGMA
@@ -67,6 +68,8 @@ class PipelineConfig:
         # them; the levels go first, as the codebook size is their product.
         self.fsq_config()
         self.gadg_config()
+        if self.data.clip_frames % DOWNSAMPLE:  # synth-data's clips feed the codec
+            raise ConfigError(f"data.clip_frames {self.data.clip_frames} is not a multiple of {DOWNSAMPLE}")
 
     @property
     def codebook_size(self) -> int:
@@ -91,28 +94,6 @@ class PipelineConfig:
         return asdict(self)
 
 
-# The JSON values each declared field type accepts. ``type(v) is int``
-# keeps out booleans, which Python counts as ints and JSON does not.
-_VALUE_CHECKS = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
-    "tuple": ("a list of integers", lambda v: type(v) is list and all(type(i) is int for i in v)),
-}
-
-
-def _section_from_dict(name: str, cls, raw):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object, got {type(raw).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    for key, value in raw.items():
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r} in section {name!r}")
-        expected, ok = _VALUE_CHECKS[types[key]]
-        if not ok(value):
-            raise ConfigError(f"config value {name}.{key} must be {expected}, got {value!r}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-
-
 def _stage_config(cls, section, **derived):
     """``cls`` built from the section's fields of the same name plus the
     ``derived`` values; stage fields in neither keep their class default."""
@@ -127,7 +108,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config section {sorted(unknown)[0]!r}")
     return PipelineConfig(**{
-        name: _section_from_dict(name, cls, raw.get(name, {})) for name, cls in sections.items()
+        name: TF.dataclass_from_json(cls, raw.get(name, {}), f"config section {name!r}", False)
+        for name, cls in sections.items()
     })
 
 

@@ -73,11 +73,9 @@ class GadgConfig:
     head_gain: float = 0.02
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # ``type(value) is int`` keeps out floats and booleans
-            if f.type == "int" and (type(value) is not int or value < 1):
-                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
@@ -560,7 +558,7 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
     everything before them, later ones a window that slides in
     ``window_step`` chunks. Argmax by default; ``top_k`` switches to
     seeded categorical sampling at ``temperature``, which must be finite
-    and positive.
+    and positive, from a ``seed`` that must be >= 0.
     """
     cfg = model.cfg
     if duration_frames <= 0:
@@ -569,6 +567,8 @@ def generate(model: GadgModel, music_frames: np.ndarray, genre_id: int,
         raise InputError(
             f"duration {duration_frames} is not a multiple of {cfg.frames_per_code} frames per code"
         )
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if top_k is not None and top_k < 1:
         raise InputError(f"top_k must be >= 1, got {top_k}")
     if not (np.isfinite(temperature) and temperature > 0):

@@ -150,10 +150,10 @@ class Dropout(Module):
 
 
 def check_training_ranges(cfg) -> None:
-    """Reject steps or batch_size below 1 and an lr that is not finite and > 0."""
-    for name in ("steps", "batch_size"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    """Reject steps or batch_size below 1, a negative seed, and an lr not finite and > 0."""
+    for name, low in (("steps", 1), ("batch_size", 1), ("seed", 0)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {getattr(cfg, name)}")
     if not (np.isfinite(cfg.lr) and cfg.lr > 0):
         raise ConfigError(f"lr must be finite and > 0, got {cfg.lr}")
 

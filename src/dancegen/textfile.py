@@ -2,9 +2,10 @@
 latent-code, loss-log and report files: a ``#format <name> v<n>`` line,
 further ``#key value`` header lines, then one record per line. Readers
 share one header check and one style of line-numbered ``FormatError``.
-The JSON documents (config, data manifest) share one reader too, and
-every artifact, binary checkpoints included, is written through
-``atomic_write``.
+The JSON documents (config, data manifest) share one reader, and every
+JSON object that configures a stage (a pipeline config section, a checkpoint
+header's config) one typed reader, ``dataclass_from_json``. Every artifact,
+binary checkpoints included, is written through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 
 @contextlib.contextmanager
@@ -142,3 +144,31 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: {what} root must be a JSON object")
     return doc
+
+
+# The JSON values each declared field type takes; ``type(v) is int`` refuses booleans.
+_VALUE_CHECKS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "tuple": ("a list of integers", lambda v: type(v) is list and all(type(i) is int for i in v)),
+}
+
+
+def dataclass_from_json(cls, raw, where: str, complete: bool):
+    """``cls(**raw)``, lists as tuples, where ``raw`` must be a JSON object
+    whose keys are fields of the dataclass ``cls`` (all of them if ``complete``)
+    and whose values have their field's declared type. Each fault is a
+    ConfigError naming ``where`` and the key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    for key in types:
+        if complete and key not in raw:
+            raise ConfigError(f"{where} has no key {key!r}")
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        expected, ok = _VALUE_CHECKS[types[key]]
+        if not ok(value):
+            raise ConfigError(f"{where}: {key} must be {expected}, got {value!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})

@@ -234,6 +234,29 @@ def test_train_rejects_out_of_range_config(env, tmp_path, capsys, stage, overrid
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", ["train-hfdq", "train-gadg"])
+def test_train_rejects_negative_seed(env, tmp_path, capsys, command):
+    # synth-data masks the seed, so only the training commands can refuse it
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps(dict(TINY, data=dict(TINY["data"], seed=-1))))
+    ckpt = tmp_path / "out.ckpt"
+    argv = [command, "--config", str(cfg), "--data", str(env["data"]), "--out-ckpt", str(ckpt)]
+    if command == "train-gadg":
+        argv += ["--hfdq-ckpt", str(env["codec"])]
+    assert main(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_synth_data_refuses_clips_the_codec_cannot_take(tmp_path, capsys):
+    cfg = tmp_path / "frames.json"
+    cfg.write_text(json.dumps({"data": {"clip_frames": 100}}))
+    out = tmp_path / "d"
+    assert main(["synth-data", "--config", str(cfg), "--out", str(out), "--clips", "1"]) == 2
+    assert "data.clip_frames 100 is not a multiple of 8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gadg_missing_codec_is_dependency_error(env, tmp_path, capsys):
     code = main(["train-gadg", "--config", str(env["cfg"]), "--data", str(env["data"]),
                  "--hfdq-ckpt", str(tmp_path / "nope.json"),
@@ -304,6 +327,16 @@ def test_generate_rejects_bad_temperature(env, tmp_path, capsys, temperature):
     assert not (tmp_path / "x.txt").exists()
 
 
+def test_generate_rejects_negative_seed(env, tmp_path, capsys):
+    out = tmp_path / "x.motion.txt"
+    code = main(["generate", "--gadg-ckpt", str(env["gen"]), "--hfdq-ckpt", str(env["codec"]),
+                 "--music", str(env["data"] / "clip_0001.music.txt"),
+                 "--genre", "1", "--frames", "32", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     code = main(["generate", "--gadg-ckpt", str(env["gen"]),
                  "--hfdq-ckpt", str(env["codec"]),
@@ -328,6 +361,8 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     ("gen", "window_step_over_autoregressive_step"),
     ("gen", "v1_json"), ("codec", "v1_json"),
     ("codec", "float_level"), ("gen", "bool_config_int"), ("gen", "float_config_int"),
+    ("gen", "string_dropout"), ("gen", "bool_head_gain"), ("codec", "int_levels"),
+    ("codec", "float_feature_dim"), ("codec", "bool_feature_dim"), ("codec", "list_config"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
     header, arrays = read_v2(env[stage])
@@ -357,6 +392,18 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         header["config"]["num_layers"] = True
     elif edit == "float_config_int":
         header["config"]["model_dim"] = float(header["config"]["model_dim"])
+    elif edit == "string_dropout":
+        header["config"]["dropout"] = "0.25"
+    elif edit == "bool_head_gain":
+        header["config"]["head_gain"] = True
+    elif edit == "int_levels":
+        header["config"]["levels"] = 7
+    elif edit == "float_feature_dim":
+        header["config"]["feature_dim"] = 64.0
+    elif edit == "bool_feature_dim":
+        header["config"]["feature_dim"] = True
+    elif edit == "list_config":
+        header["config"] = [1]
     bad = tmp_path / "bad.ckpt"
     if edit == "truncated":  # a copy killed halfway
         data = env[stage].read_bytes()
@@ -381,7 +428,10 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
     if edit == "v1_json":
         assert "v1" in err
     field = {"float_level": "levels", "bool_config_int": "num_layers",
-             "float_config_int": "model_dim"}.get(edit)
+             "float_config_int": "model_dim", "string_dropout": "dropout",
+             "bool_head_gain": "head_gain", "int_levels": "levels",
+             "float_feature_dim": "feature_dim", "bool_feature_dim": "feature_dim",
+             "list_config": "config"}.get(edit)
     if field:
         assert f"{field} must be" in err
     assert not out.exists()
@@ -437,7 +487,7 @@ def test_checkpoint_with_another_body_split_is_rejected(env, tmp_path, capsys, e
         config["upper_joints"] = list(reversed(MO.UPPER_JOINTS))
         key = "upper_joints"
     _assert_codec_config_refused(env, tmp_path, capsys, config,
-                                 f"unknown codec config key '{key}'")
+                                 f"bad codec config: ConfigError: unknown key '{key}'")
 
 
 def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, capsys):
@@ -448,7 +498,7 @@ def test_codec_checkpoint_with_the_old_config_keys_is_rejected(env, tmp_path, ca
               "upper_joints": list(MO.UPPER_JOINTS), "velocity_weight": loss.velocity_weight,
               "accel_weight": loss.accel_weight}
     _assert_codec_config_refused(env, tmp_path, capsys, config,
-                                 "unknown codec config key 'lower_joints'")
+                                 "bad codec config: ConfigError: unknown key 'lower_joints'")
 
 
 def test_checkpoint_given_as_codes_file_is_validation_error(env, tmp_path, capsys):
