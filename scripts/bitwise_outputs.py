@@ -21,6 +21,8 @@ through ``dancegen.cli.main`` on 8 generated against 8 reference synthetic
 240-frame clips with their music, and the output and five input gradients
 of ``selective_scan`` on a case with some channels at a = -1e-13, where
 |dt * a| < 1e-6 takes the series branch, from a seeded state h, and the
+same six arrays at the desk shape [30, 256, 16] (``scan_desk``), which
+spans several of the scan's channel blocks, from a seeded state h, and the
 sha256 of the checkpoint files ``save_codec`` and ``save_generator`` write
 for the seed-0 desk models, which catch any change to a checkpoint's
 header or its config_hash, and the codes (argmax and top-k 8, 32 codes) and
@@ -113,6 +115,7 @@ def dump(src: str, out: str) -> None:
     res["split_upper"], res["split_lower"] = M.split_body(x)
     res["evaluate_report"] = evaluate_report(dg)
     res["scan_series"] = scan_series(T)
+    res["scan_desk"] = scan_desk(T)
     res["codec_checkpoint_sha256"] = checkpoint_sha256(dg.save_codec, model)
     res["generator_checkpoint_sha256"] = checkpoint_sha256(dg.save_generator, generator)
     res["loaded_pipeline"] = loaded_pipeline(dg, generator, model, tracks[0])
@@ -158,6 +161,22 @@ def scan_series(T) -> np.ndarray:
     dt = rng.uniform(0.01, 0.5, size=(12, 6))
     leaves = [T.Tensor(v, requires_grad=True) for v in (x, a, b, c, dt)]
     y = selective_scan(*leaves, cache={"h": rng.standard_normal((6, 4))})
+    (y * T.Tensor(rng.standard_normal(y.shape))).sum().backward()
+    return np.concatenate([y.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
+
+
+def scan_desk(T) -> np.ndarray:
+    """The scan's output and its x, a, b, c and dt gradients, flattened into
+    one vector, at the desk generator's [30, 256, 16] from a seeded state h,
+    with a = -1..-16 per channel as ``MambaBlock`` starts it."""
+    from dancegen.generator import selective_scan
+
+    rng = np.random.default_rng(12)
+    x, b, c = rng.standard_normal((30, 256)), rng.standard_normal((30, 16)), rng.standard_normal((30, 16))
+    a = -np.tile(np.arange(1.0, 17.0), (256, 1)) * rng.uniform(0.5, 1.5, size=(256, 16))
+    dt = rng.uniform(1e-3, 0.1, size=(30, 256))
+    leaves = [T.Tensor(v, requires_grad=True) for v in (x, a, b, c, dt)]
+    y = selective_scan(*leaves, cache={"h": rng.standard_normal((256, 16))})
     (y * T.Tensor(rng.standard_normal(y.shape))).sum().backward()
     return np.concatenate([y.data.ravel()] + [leaf.grad.ravel() for leaf in leaves])
 

@@ -21,7 +21,7 @@ from .codec import DOWNSAMPLE, CodecTrainConfig, FsqConfig, LossConfig
 from .errors import ConfigError, FormatError
 from .generator import GadgConfig, GeneratorTrainConfig
 from .metrics import BAS_SIGMA
-from .music import SyntheticPairConfig
+from .music import MIN_CLIP_FRAMES, SyntheticPairConfig
 
 CONFIG_ENV_VAR = "DANCEGEN_CONFIG"
 
@@ -55,6 +55,10 @@ DataSection = _section("DataSection", (SyntheticPairConfig, ("seed", "clip_frame
 class MetricsSection:
     bas_sigma: float = BAS_SIGMA
 
+    def __post_init__(self):
+        if not (math.isfinite(self.bas_sigma) and self.bas_sigma > 0):
+            raise ConfigError(f"metrics.bas_sigma must be finite and > 0, got {self.bas_sigma}")
+
 
 @dataclass
 class PipelineConfig:
@@ -68,6 +72,8 @@ class PipelineConfig:
         # them; the levels go first, as the codebook size is their product.
         self.fsq_config()
         self.gadg_config()
+        if self.data.clip_frames < MIN_CLIP_FRAMES:
+            raise ConfigError(f"data.clip_frames {self.data.clip_frames} is below {MIN_CLIP_FRAMES}")
         if self.data.clip_frames % DOWNSAMPLE:  # synth-data's clips feed the codec
             raise ConfigError(f"data.clip_frames {self.data.clip_frames} is not a multiple of {DOWNSAMPLE}")
 

@@ -24,6 +24,11 @@ every stage is causal per row, the window start w(i) depends only on i,
 and the scan seeded with the carried h runs the same loop as the full
 sequence, so each emitted row equals the matching row of the
 teacher-forced forward over the whole prefix.
+
+The selective scan is one tape node that, as in Mamba, stores none of its
+[T', d_inner, N] states for training's backward pass: it keeps its inputs
+and the seeded state, and its VJP recomputes the rest per block of
+channels, with the forward's float ops in the forward's order.
 """
 
 from __future__ import annotations
@@ -82,6 +87,8 @@ class GadgConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not (np.isfinite(self.head_gain) and self.head_gain > 0):
+            raise ConfigError(f"head_gain must be finite and > 0, got {self.head_gain}")
         if self.autoregressive_step < self.window_step:
             raise ConfigError(
                 f"autoregressive_step {self.autoregressive_step} must be >= "
@@ -134,6 +141,28 @@ def build_sliding_mask(t_latent: int, a_step: int, s: int, first: int = 0) -> np
 # Selective state-space pieces
 
 
+# Elements of one channel block of the scan's [T', D, N] passes: the
+# forward and the VJP each run block by block, so that their temporaries
+# stay small. Of 8192 to 49152 elements, 32768 gave the fastest forward
+# plus VJP at [30, 256, 16] (68-channel blocks; 49152 was 23 % slower),
+# and a call of at most 32768 / N channels, as generation's T' = 1 at
+# d_inner 256, runs as one block.
+_SCAN_BLOCK_ELEMENTS = 32768
+
+
+def _scan_block(xr, ar, br, dtr, h0):
+    """One channel block of the scan forward: u = dt * a, abar = exp(u),
+    phi1(u), dt * b, bbar = dt * b * phi1(u), and the states h of the
+    recurrence from ``h0``. The forward and the VJP both call it, so the
+    VJP recomputes the forward's arrays bitwise."""
+    u = dtr * ar
+    abar = np.exp(u)
+    phi = T.phi1(u)
+    dtb = dtr * br
+    bbar = dtb * phi
+    return u, abar, phi, dtb, bbar, T._recurrence_loop(abar, bbar * xr, h0)
+
+
 def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
     """y_t = c_t . h_t with h_t = abar_t h_{t-1} + bbar_t x_t, h_{-1} = 0.
 
@@ -146,11 +175,15 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
     call's last state is stored back into it.
 
     The scan is one tape node, and training, teacher forcing and
-    generation all run it; under ``no_grad`` it keeps nothing. Its VJP
-    keeps three [T, D, N] arrays, h, abar and phi1(u), and recomputes u,
-    dt * b and bbar, which are one multiply each. The adjoint of the
-    recurrence is the same loop backwards in time, lam_t = g_t +
-    abar_{t+1} lam_{t+1}, with gdrive = lam and gabar = lam * h_{t-1}.
+    generation all run it; under ``no_grad`` it keeps nothing. Like the
+    Mamba scan, it stores no [T, D, N] array for the backward pass: the
+    node keeps its five inputs and h_{-1}, and its VJP recomputes u, abar,
+    phi1(u), bbar and h. Forward and VJP run per block of channels
+    (``_SCAN_BLOCK_ELEMENTS``). The adjoint of the recurrence is the same
+    loop backwards in time, lam_t = g_t + abar_{t+1} lam_{t+1}, with
+    gdrive = lam and gabar = lam * h_{t-1}. The b and c gradients sum over
+    all channels; their [T, D, N] products are filled block by block and
+    each reduced once, so every gradient equals the unblocked one bitwise.
     """
     cache = {} if cache is None else cache
     x, a_diag, b_seq, c_seq, dt = (T.wrap(v)[0] for v in (x, a_diag, b_seq, c_seq, dt))
@@ -160,38 +193,52 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
         raise ShapeError("selective scan needs a nonempty time axis")
     if (dt.data <= 0).any():
         raise ContractError("discretization step dt must be strictly positive")
-    zero = np.zeros((d_inner, n))
-    h0 = zero if cache.get("h") is None else np.asarray(cache["h"], dtype=np.float64)
-    if h0.shape != zero.shape:
-        raise ShapeError(f"initial state must be {zero.shape}, got {h0.shape}")
+    h0 = cache.get("h")
+    h0 = np.zeros((d_inner, n)) if h0 is None else np.asarray(h0, dtype=np.float64)
+    if h0.shape != (d_inner, n):
+        raise ShapeError(f"initial state must be {(d_inner, n)}, got {h0.shape}")
     xr = x.data.reshape((t_len, d_inner, 1))
     ar = a_diag.data.reshape((1, d_inner, n))
     br = b_seq.data.reshape((t_len, 1, n))
     cr = c_seq.data.reshape((t_len, 1, n))
     dtr = dt.data.reshape((t_len, d_inner, 1))
-    u = dtr * ar
-    abar = np.exp(u)
-    phi = T.phi1(u)
-    h = T._recurrence_loop(abar, dtr * br * phi * xr, h0)
-    cache["h"] = h[-1]
+    width = max(1, _SCAN_BLOCK_ELEMENTS // (t_len * n))
+    blocks = [slice(lo, lo + width) for lo in range(0, d_inner, width)]
+    y = np.empty((t_len, d_inner))
+    h_last = np.empty((d_inner, n))
+    for blk in blocks:
+        h = _scan_block(xr[:, blk], ar[:, blk], br, dtr[:, blk], h0[blk])[-1]
+        y[:, blk] = (h * cr).sum(axis=-1)
+        h_last[blk] = h[-1]
+    cache["h"] = h_last
 
     def vjp(g):
-        lam = T._recurrence_loop(np.concatenate([abar[1:], zero[None]])[::-1],
-                                 (g[..., None] * cr)[::-1], zero)[::-1]
-        dtb = dtr * br
-        g_bbar = lam * xr
-        g_dtb = g_bbar * phi
-        g_u = g_bbar * dtb * T.phi1(dtr * ar, abar) + lam * np.concatenate([h0[None], h[:-1]]) * abar
-        gdt = T._unbroadcast(g_u * ar, dtr.shape) + T._unbroadcast(g_dtb * br, dtr.shape)
+        gx, ga, gdt = np.empty(x.shape), np.empty(a_diag.shape), np.empty(dt.shape)
+        gb_full, gc_full = np.empty((t_len, d_inner, n)), np.empty((t_len, d_inner, n))
+        for blk in blocks:
+            xb, ab, dtrb, h0b = xr[:, blk], ar[:, blk], dtr[:, blk], h0[blk]
+            u, abar, phi, dtb, bbar, h = _scan_block(xb, ab, br, dtrb, h0b)
+            zero = np.zeros(h0b.shape)
+            lam = T._recurrence_loop(np.concatenate([abar[1:], zero[None]])[::-1],
+                                     (g[:, blk, None] * cr)[::-1], zero)[::-1]
+            g_bbar = lam * xb
+            g_dtb = g_bbar * phi
+            g_u = g_bbar * dtb * T.phi1(u, abar) + lam * np.concatenate([h0b[None], h[:-1]]) * abar
+            gdt[:, blk] = (T._unbroadcast(g_u * ab, dtrb.shape)
+                           + T._unbroadcast(g_dtb * br, dtrb.shape))[..., 0]
+            gx[:, blk] = T._unbroadcast(lam * bbar, xb.shape)[..., 0]
+            ga[blk] = T._unbroadcast(g_u * dtrb, ab.shape)[0]
+            np.multiply(g_dtb, dtrb, out=gb_full[:, blk])
+            np.multiply(g[:, blk, None], h, out=gc_full[:, blk])
         return (
-            T._unbroadcast(lam * (dtb * phi), xr.shape).reshape(x.shape),
-            T._unbroadcast(g_u * dtr, ar.shape).reshape(a_diag.shape),
-            T._unbroadcast(g_dtb * dtr, br.shape).reshape(b_seq.shape),
-            T._unbroadcast(g[..., None] * h, cr.shape).reshape(c_seq.shape),
-            gdt.reshape(dt.shape),
+            gx,
+            ga,
+            T._unbroadcast(gb_full, br.shape).reshape(b_seq.shape),
+            T._unbroadcast(gc_full, cr.shape).reshape(c_seq.shape),
+            gdt,
         )
 
-    return T._node((h * cr).sum(axis=-1), (x, a_diag, b_seq, c_seq, dt), vjp)
+    return T._node(y, (x, a_diag, b_seq, c_seq, dt), vjp)
 
 
 def _causal_depthwise_conv(x: Tensor, weight: Tensor, bias: Tensor, cache: dict) -> Tensor:

@@ -86,21 +86,24 @@ def read_music_file(path) -> MusicFeatureSequence:
 # ---------------------------------------------------------------------------
 # Synthetic pairs
 
+MIN_CLIP_FRAMES = 16
+
 
 @dataclass
 class SyntheticPairConfig:
     """Controls one synthetic music/motion pair.
 
     ``seed`` is the only entropy source; the same config and genre always
-    produce bit-identical output. ``clip_frames`` must be a multiple of 8
-    so clips pass straight into the temporal-downsampling codec.
+    produce bit-identical output. ``clip_frames`` must be at least
+    ``MIN_CLIP_FRAMES`` and, for the pipeline, a multiple of 8 so clips
+    pass straight into the temporal-downsampling codec.
     """
 
     seed: int = 0
     clip_frames: int = 240
 
     def __post_init__(self):
-        if self.clip_frames < 16:
+        if self.clip_frames < MIN_CLIP_FRAMES:
             raise ShapeError(f"clip_frames too small: {self.clip_frames}")
 
 

@@ -171,7 +171,9 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Accumulates into ``.grad`` of every requires_grad leaf reachable from
-    ``loss`` and frees the tape so the graph cannot be reused.
+    ``loss`` and frees the tape so the graph cannot be reused. The sweep
+    pops each node off its order as it goes, so a node, and the arrays its
+    VJP kept, is released once its VJP has run unless the caller holds it.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar, got shape {loss.data.shape}")
@@ -192,7 +194,8 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             node._parents = ()
@@ -515,8 +518,8 @@ def _recurrence_loop(a: np.ndarray, b: np.ndarray, initial: np.ndarray) -> np.nd
     h = np.empty(b.shape)
     prev = initial
     for t in range(b.shape[0]):
-        prev = a[t] * prev + b[t]
-        h[t] = prev
+        prev = np.multiply(a[t], prev, out=h[t])
+        prev += b[t]
     return h
 
 

@@ -257,6 +257,15 @@ def test_synth_data_refuses_clips_the_codec_cannot_take(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_data_refuses_clips_below_the_floor_before_making_the_directory(tmp_path, capsys):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"data": {"clip_frames": 8}}))
+    out = tmp_path / "d"
+    assert main(["synth-data", "--config", str(cfg), "--out", str(out), "--clips", "1"]) == 2
+    assert "data.clip_frames 8 is below 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gadg_missing_codec_is_dependency_error(env, tmp_path, capsys):
     code = main(["train-gadg", "--config", str(env["cfg"]), "--data", str(env["data"]),
                  "--hfdq-ckpt", str(tmp_path / "nope.json"),
@@ -361,7 +370,8 @@ def test_generate_rejects_temperature_without_top_k(env, tmp_path, capsys):
     ("gen", "window_step_over_autoregressive_step"),
     ("gen", "v1_json"), ("codec", "v1_json"),
     ("codec", "float_level"), ("gen", "bool_config_int"), ("gen", "float_config_int"),
-    ("gen", "string_dropout"), ("gen", "bool_head_gain"), ("codec", "int_levels"),
+    ("gen", "string_dropout"), ("gen", "bool_head_gain"), ("gen", "nan_head_gain"),
+    ("codec", "int_levels"),
     ("codec", "float_feature_dim"), ("codec", "bool_feature_dim"), ("codec", "list_config"),
 ])
 def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, edit):
@@ -396,6 +406,8 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         header["config"]["dropout"] = "0.25"
     elif edit == "bool_head_gain":
         header["config"]["head_gain"] = True
+    elif edit == "nan_head_gain":  # json writes and reads the NaN literal
+        header["config"]["head_gain"] = float("nan")
     elif edit == "int_levels":
         header["config"]["levels"] = 7
     elif edit == "float_feature_dim":
@@ -429,7 +441,7 @@ def test_malformed_checkpoint_is_validation_error(env, tmp_path, capsys, stage, 
         assert "v1" in err
     field = {"float_level": "levels", "bool_config_int": "num_layers",
              "float_config_int": "model_dim", "string_dropout": "dropout",
-             "bool_head_gain": "head_gain", "int_levels": "levels",
+             "bool_head_gain": "head_gain", "nan_head_gain": "head_gain", "int_levels": "levels",
              "float_feature_dim": "feature_dim", "bool_feature_dim": "feature_dim",
              "list_config": "config"}.get(edit)
     if field:

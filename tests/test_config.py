@@ -57,6 +57,18 @@ def test_window_invariant():
         config_from_dict({"gadg": {"autoregressive_step": 4, "window_step": 8}})
 
 
+@pytest.mark.parametrize("clip_frames", [8, 0, -8])
+def test_clips_below_the_synthetic_floor_rejected_by_name(clip_frames):
+    with pytest.raises(ConfigError, match=rf"data.clip_frames {clip_frames} is below 16"):
+        config_from_dict({"data": {"clip_frames": clip_frames}})
+
+
+@pytest.mark.parametrize("sigma", [0, -1.0, float("nan"), float("inf")])
+def test_bad_bas_sigma_rejected_at_load(sigma):
+    with pytest.raises(ConfigError, match="metrics.bas_sigma must be finite and > 0"):
+        config_from_dict({"metrics": {"bas_sigma": sigma}})
+
+
 def test_genre_count_is_stated_once():
     cfg = config_from_dict({"gadg": {"num_genres": 3}})
     assert cfg.gadg_config().num_genres == 3

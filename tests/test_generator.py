@@ -28,6 +28,7 @@ from dancegen.errors import (
     ShapeError,
 )
 from dancegen.generator import (
+    _SCAN_BLOCK_ELEMENTS,
     Expert,
     GadgConfig,
     GadgModel,
@@ -283,6 +284,12 @@ ORACLE_CASES = {
     "seeded": (42, None, None, None, False, True),
     "one-step": (43, 1, None, None, False, False),
     "one-step-seeded": (44, 1, 5, 3, False, True),
+    # several channel blocks, the last one ragged, and a T' = 1 call that
+    # runs as one block at generation's width
+    "blocks": (45, 30, 300, 16, False, False),
+    "blocks-seeded": (46, 30, 300, 16, False, True),
+    "blocks-series": (47, 30, 300, 16, True, True),
+    "one-step-wide-seeded": (48, 1, 256, 16, False, True),
 }
 
 
@@ -321,24 +328,36 @@ def test_scan_rejects_cached_state_of_wrong_shape():
         selective_scan(x, a, b, c, dt, cache={"h": np.zeros((3, 3))})
 
 
+def test_scan_blocks_cover_a_one_step_call_whole():
+    # generation's T' = 1 call at the desk width runs as a single block
+    cfg = GadgConfig()
+    assert cfg.expand * cfg.model_dim * cfg.state_dim <= _SCAN_BLOCK_ELEMENTS
+
+
+def test_scan_node_keeps_no_state_sized_array():
+    # the node keeps its inputs and h_{-1}: its output [T', D] and the
+    # seeded state [D, N] are 1/16 + 1/30 of one [T', D, N] array
+    t_len, d, n = 30, 256, 16
+    arrays = scan_case(14, t_len=t_len, d=d, n=n)
+    leaves = [Tensor(v, requires_grad=True) for v in arrays]
+    initial = np.random.default_rng(14).standard_normal((d, n))
+    scan_array = t_len * d * n * 8
+    y, held, _ = traced(lambda: selective_scan(*leaves, cache={"h": initial.copy()}))
+    assert y.requires_grad
+    assert held < scan_array / 8, f"held {held / scan_array:.3f} scan arrays"
+
+
 def test_mamba_block_training_forward_keeps_few_scan_sized_arrays():
-    # the scan's tape keeps h, abar and phi1(u); a composed scan keeps about
-    # eleven [T', d_inner, N] arrays per block, which sets training's peak memory
+    # the scan node keeps no [T', d_inner, N] array; what is left is the
+    # block's [T', d_inner] activations, where a composed scan keeps about
+    # eleven [T', d_inner, N] arrays, which sets training's peak memory
     cfg = GadgConfig()
     block = MambaBlock(cfg, Rng(0).child("mamba"))
     x = Tensor(np.random.default_rng(0).standard_normal((30, cfg.model_dim)), requires_grad=True)
     scan_array = 30 * cfg.expand * cfg.model_dim * cfg.state_dim * 8
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        y = block(x, GenerationState())
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    y, held, _ = traced(lambda: block(x, GenerationState()))
     assert y.requires_grad
-    assert held < 6 * scan_array, f"held {held / scan_array:.1f} scan-sized arrays"
+    assert held < 2.5 * scan_array, f"held {held / scan_array:.2f} scan-sized arrays"
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +642,12 @@ def test_train_generator_keeps_one_sequence_tape_alive():
              for b in (1, 4)]
     growth = peaks[1] - peaks[0]
     assert growth < 0.5 * tape, f"batch 4 peaks {growth / tape:.2f} tapes above batch 1"
+
+
+@pytest.mark.parametrize("gain", [0.0, -0.02, float("nan"), float("inf")])
+def test_config_rejects_bad_head_gain(gain):
+    with pytest.raises(ConfigError, match="head_gain must be finite and > 0"):
+        tiny_cfg(head_gain=gain)
 
 
 def test_train_generator_validates_inputs():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,6 +388,31 @@ def test_tape_freed_after_backward():
     # a second sweep over the freed graph must not touch leaf gradients
     backward(loss)
     np.testing.assert_array_equal(x.grad, grad_after_first)
+
+
+def test_backward_releases_each_node_once_its_vjp_has_run():
+    # when the leaf-most node's VJP runs, the nodes after it are gone, but a
+    # tensor the caller holds keeps its data
+    leaf = Tensor(np.linspace(0.1, 0.4, 4), requires_grad=True)
+    seen = {}
+
+    def first_vjp(g):
+        seen["released"] = [ref() is None for ref in later]
+        seen["held"] = held.data.copy()
+        return (g * 2.0,)
+
+    first = T._node(leaf.data * 2.0, (leaf,), first_vjp)
+    held = T.exp(first)
+    mid = T.exp(held)
+    top = T.exp(mid)
+    later = [weakref.ref(mid.data), weakref.ref(top.data)]
+    loss = top.sum()
+    del first, mid, top
+    backward(loss)
+    assert seen["released"] == [True, True]
+    assert np.array_equal(seen["held"], np.exp(2.0 * leaf.data))
+    assert np.array_equal(held.data, seen["held"])
+    assert leaf.grad is not None and np.isfinite(leaf.grad).all()
 
 
 def test_no_grad_suppresses_tape():
