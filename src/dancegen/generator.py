@@ -151,16 +151,18 @@ _SCAN_BLOCK_ELEMENTS = 32768
 
 
 def _scan_block(xr, ar, br, dtr, h0):
-    """One channel block of the scan forward: u = dt * a, abar = exp(u),
-    phi1(u), dt * b, bbar = dt * b * phi1(u), and the states h of the
-    recurrence from ``h0``. The forward and the VJP both call it, so the
-    VJP recomputes the forward's arrays bitwise."""
+    """One channel block of the scan forward: u = dt * a, its near-zero
+    mask, abar = exp(u), phi1(u), dt * b, bbar = dt * b * phi1(u), and the
+    states h of the recurrence from ``h0``. The forward and the VJP both
+    call it, so the VJP recomputes the forward's arrays bitwise; the VJP's
+    phi1 derivative reuses the mask."""
     u = dtr * ar
+    small = T.near_zero(u)
     abar = np.exp(u)
-    phi = T.phi1(u)
+    phi = T.phi1(u, small)
     dtb = dtr * br
     bbar = dtb * phi
-    return u, abar, phi, dtb, bbar, T._recurrence_loop(abar, bbar * xr, h0)
+    return u, small, abar, phi, dtb, bbar, T._recurrence_loop(abar, bbar * xr, h0)
 
 
 def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
@@ -211,19 +213,20 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
         y[:, blk] = (h * cr).sum(axis=-1)
         h_last[blk] = h[-1]
     cache["h"] = h_last
+    x_shape, a_shape, b_shape, c_shape, dt_shape = (v.shape for v in (x, a_diag, b_seq, c_seq, dt))
 
     def vjp(g):
-        gx, ga, gdt = np.empty(x.shape), np.empty(a_diag.shape), np.empty(dt.shape)
+        gx, ga, gdt = np.empty(x_shape), np.empty(a_shape), np.empty(dt_shape)
         gb_full, gc_full = np.empty((t_len, d_inner, n)), np.empty((t_len, d_inner, n))
         for blk in blocks:
             xb, ab, dtrb, h0b = xr[:, blk], ar[:, blk], dtr[:, blk], h0[blk]
-            u, abar, phi, dtb, bbar, h = _scan_block(xb, ab, br, dtrb, h0b)
+            u, small, abar, phi, dtb, bbar, h = _scan_block(xb, ab, br, dtrb, h0b)
             zero = np.zeros(h0b.shape)
             lam = T._recurrence_loop(np.concatenate([abar[1:], zero[None]])[::-1],
                                      (g[:, blk, None] * cr)[::-1], zero)[::-1]
             g_bbar = lam * xb
             g_dtb = g_bbar * phi
-            g_u = g_bbar * dtb * T.phi1(u, abar) + lam * np.concatenate([h0b[None], h[:-1]]) * abar
+            g_u = g_bbar * dtb * T.phi1(u, small, abar) + lam * np.concatenate([h0b[None], h[:-1]]) * abar
             gdt[:, blk] = (T._unbroadcast(g_u * ab, dtrb.shape)
                            + T._unbroadcast(g_dtb * br, dtrb.shape))[..., 0]
             gx[:, blk] = T._unbroadcast(lam * bbar, xb.shape)[..., 0]
@@ -233,8 +236,8 @@ def selective_scan(x, a_diag, b_seq, c_seq, dt, cache=None):
         return (
             gx,
             ga,
-            T._unbroadcast(gb_full, br.shape).reshape(b_seq.shape),
-            T._unbroadcast(gc_full, cr.shape).reshape(c_seq.shape),
+            T._unbroadcast(gb_full, br.shape).reshape(b_shape),
+            T._unbroadcast(gc_full, cr.shape).reshape(c_shape),
             gdt,
         )
 

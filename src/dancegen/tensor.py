@@ -1,9 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Storage is a numpy array; the graph is a tape of vector-Jacobian closures
-built during the forward pass and freed after ``backward``. Gradients are
-first order only. Graph construction is single threaded; tensors that do
-not track gradients are treated as immutable and are safe to share.
+Storage is a numpy array. The graph is separate from the tensors: an op's
+output gets a ``_GradFn`` that holds the graph nodes of its inputs (their
+``_GradFn``s, a ``requires_grad`` leaf itself, or None for a constant) and
+a vector-Jacobian closure. Each closure keeps only the arrays and shapes
+its VJP reads, never a Tensor, so an intermediate's array is freed as soon
+as the forward drops it unless a VJP saved it; a VJP returns None for an
+input that needs no gradient. ``backward`` frees the graph as it goes.
+Gradients are first order only. Graph construction is single threaded;
+tensors that do not track gradients are treated as immutable and are safe
+to share.
 """
 
 from __future__ import annotations
@@ -40,14 +46,13 @@ class Tensor:
     the caller clears the gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple = ()
-        self._vjp = None
+        self._grad_fn = None
 
     @property
     def shape(self):
@@ -62,7 +67,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def backward(self):
         backward(self)
@@ -157,13 +162,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+class _GradFn:
+    """One op's entry in the graph: the graph nodes of its inputs, in the
+    op's order, and the VJP that maps the output's gradient to theirs."""
+
+    __slots__ = ("parents", "vjp")
+
+    def __init__(self, parents: tuple, vjp):
+        self.parents = parents
+        self.vjp = vjp
+
+
+def _graph_node(t: Tensor):
+    """``t``'s grad function, ``t`` itself for a leaf that needs a gradient,
+    or None for a constant."""
+    if t._grad_fn is not None:
+        return t._grad_fn
+    return t if t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
-    """Create an op output, attaching the tape entry only when needed."""
+    """Create an op output, attaching its grad function only when needed."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._grad_fn = _GradFn(tuple(_graph_node(p) for p in parents), vjp)
     return out
 
 
@@ -171,15 +194,18 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
     Accumulates into ``.grad`` of every requires_grad leaf reachable from
-    ``loss`` and frees the tape so the graph cannot be reused. The sweep
-    pops each node off its order as it goes, so a node, and the arrays its
-    VJP kept, is released once its VJP has run unless the caller holds it.
+    ``loss`` and frees the graph so it cannot be reused. The sweep pops
+    each grad function off its order as it goes, so a grad function, and
+    the arrays its VJP kept, is released once its VJP has run.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar, got shape {loss.data.shape}")
+    root = _graph_node(loss)
+    if root is None:
+        return
     order = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -189,28 +215,27 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, _GradFn):
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            node._parents = ()
-            node._vjp = None
+        if isinstance(node, Tensor):
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
             continue
-        if node.requires_grad and not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
+        if g is not None and node.vjp is not None:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 grads[key] = pg if key not in grads else grads[key] + pg
-        node._parents = ()
-        node._vjp = None
+        node.parents = ()
+        node.vjp = None
 
 
 # ---------------------------------------------------------------------------
@@ -218,34 +243,40 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    a_shape, b_shape, need_a, need_b = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
+    return _node(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a_shape) if need_a else None,
+        _unbroadcast(g, b_shape) if need_b else None,
+    ))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    a_shape, b_shape, need_a, need_b = a.data.shape, b.data.shape, a.requires_grad, b.requires_grad
+    return _node(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a_shape) if need_a else None,
+        _unbroadcast(-g, b_shape) if need_b else None,
+    ))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    return _node(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
+    # each side keeps the operand the other side's gradient reads
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_kept = a.data if b.requires_grad else None
+    b_kept = b.data if a.requires_grad else None
+    return _node(a.data * b.data, (a, b), lambda g: (
+        None if b_kept is None else _unbroadcast(g * b_kept, a_shape),
+        None if a_kept is None else _unbroadcast(g * a_kept, b_shape),
+    ))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-    return _node(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
+    a_shape, b_shape, need_a = a.data.shape, b.data.shape, a.requires_grad
+    a_kept = a.data if b.requires_grad else None
+    b_data = b.data
+    return _node(a.data / b.data, (a, b), lambda g: (
+        _unbroadcast(g / b_data, a_shape) if need_a else None,
+        None if a_kept is None else _unbroadcast(-g * a_kept / (b_data * b_data), b_shape),
+    ))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -258,7 +289,8 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _node(np.log(x), (a,), lambda g: (g / x,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -283,7 +315,8 @@ def relu(a: Tensor) -> Tensor:
 
 
 def abs_(a: Tensor) -> Tensor:
-    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return _node(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
 def silu(a: Tensor) -> Tensor:
@@ -291,23 +324,29 @@ def silu(a: Tensor) -> Tensor:
     return mul(a, sigmoid(a))
 
 
-def phi1(u: np.ndarray, exp_u: np.ndarray | None = None) -> np.ndarray:
+def near_zero(u: np.ndarray) -> np.ndarray | None:
+    """The mask of |u| < 1e-6, where ``phi1``'s closed forms lose their
+    digits, or None when no entry is that small."""
+    small = np.abs(u) < 1e-6
+    return small if small.any() else None
+
+
+def phi1(u: np.ndarray, small: np.ndarray | None, exp_u: np.ndarray | None = None) -> np.ndarray:
     """phi1(u) = (e^u - 1) / u elementwise or, given ``exp_u`` = e^u, its
     derivative (e^u (u - 1) + 1) / u^2.
 
     Both closed forms lose their digits near u = 0 and divide by zero at
-    it, so the entries with |u| < 1e-6 take the series 1 + u/2 + u^2/6 or
+    it, so the entries in ``small`` (``near_zero(u)``, which a caller
+    computes once for both forms) take the series 1 + u/2 + u^2/6 or
     1/2 + u/3 + u^2/8 instead. Only those entries pay for the series, and
-    when there are none the closed form runs on ``u`` as it is.
+    when ``small`` is None the closed form runs on ``u`` as it is.
     """
-    small = np.abs(u) < 1e-6
-    any_small = small.any()
-    safe = np.where(small, 1.0, u) if any_small else u
+    safe = u if small is None else np.where(small, 1.0, u)
     if exp_u is None:
         out = np.asarray(np.expm1(safe) / safe)
     else:
         out = np.asarray((exp_u * (safe - 1.0) + 1.0) / (safe * safe))
-    if any_small:
+    if small is not None:
         us = u[small]
         out[small] = (1.0 + us / 2.0 + us * us / 6.0 if exp_u is None
                       else 0.5 + us / 3.0 + us * us / 8.0)
@@ -317,7 +356,8 @@ def phi1(u: np.ndarray, exp_u: np.ndarray | None = None) -> np.ndarray:
 def expm1_over(a: Tensor) -> Tensor:
     """phi1(u) = (e^u - 1) / u as a taped op, finite through u = 0."""
     u = a.data
-    return _node(phi1(u), (a,), lambda g: (g * phi1(u, np.exp(u)),))
+    small = near_zero(u)
+    return _node(phi1(u, small), (a,), lambda g: (g * phi1(u, small, np.exp(u)),))
 
 
 # ---------------------------------------------------------------------------
@@ -329,40 +369,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    a_kept = a.data if b.requires_grad else None
+    b_kept = b.data if a.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = None if b_kept is None else _unbroadcast(g @ np.swapaxes(b_kept, -1, -2), a_shape)
+        gb = None if a_kept is None else _unbroadcast(np.swapaxes(a_kept, -1, -2) @ g, b_shape)
         return ga, gb
 
-    return _node(data, (a, b), vjp)
+    return _node(a.data @ b.data, (a, b), vjp)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _node(data, (a,), vjp)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    total = reduce_sum(a, axis=axis, keepdims=keepdims)
+    return total * (1.0 / (a.data.size // total.data.size))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    data = a.data.reshape(shape)
-    return _node(data, (a,), lambda g: (g.reshape(a.data.shape),))
+    a_shape = a.data.shape
+    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a_shape),))
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -405,8 +442,12 @@ def index(a: Tensor, key) -> Tensor:
     picks. The check runs in the VJP only, so ``no_grad`` never pays for it.
     """
 
+    # np.zeros_like keeps a's memory layout: a C-contiguous input needs only
+    # its shape, any other layout keeps the input itself as the template
+    shape, like = a.data.shape, None if a.data.flags.c_contiguous else a.data
+
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape) if like is None else np.zeros_like(like)
         if _picks_once(key):
             ga[key] = g
         else:
@@ -488,10 +529,14 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     kernel, c_in, c_out = _conv_shapes("conv1d", x, w, stride)
     cols = _windows(x.data, kernel, stride)
     w2 = w.data.reshape(kernel * c_in, c_out)
+    t_in, w_shape = x.data.shape[-2], w.data.shape
+    cols_kept = cols if w.requires_grad else None
+    w2_kept = w2 if x.requires_grad else None
 
     def vjp(g):
-        gx = _overlap_add(g @ w2.T, x.shape[-2], kernel, stride)
-        gw = (cols.reshape(-1, kernel * c_in).T @ g.reshape(-1, c_out)).reshape(w.shape)
+        gx = None if w2_kept is None else _overlap_add(g @ w2_kept.T, t_in, kernel, stride)
+        gw = None if cols_kept is None else (
+            cols_kept.reshape(-1, kernel * c_in).T @ g.reshape(-1, c_out)).reshape(w_shape)
         return gx, gw
 
     return _node(cols @ w2, (x, w), vjp)
@@ -500,11 +545,16 @@ def conv1d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
     kernel, c_in, c_out = _conv_shapes("conv1d_transpose", x, w, stride)
     wt = np.swapaxes(w.data, 0, 1).reshape(c_in, kernel * c_out)
+    x_kept = x.data if w.requires_grad else None
+    wt_kept = wt if x.requires_grad else None
 
     def vjp(g):
         gcols = _windows(g, kernel, stride)
-        gw = x.data.reshape(-1, c_in).T @ gcols.reshape(-1, kernel * c_out)
-        return gcols @ wt.T, np.swapaxes(gw.reshape(c_in, kernel, c_out), 0, 1)
+        gx = None if wt_kept is None else gcols @ wt_kept.T
+        if x_kept is None:
+            return gx, None
+        gw = x_kept.reshape(-1, c_in).T @ gcols.reshape(-1, kernel * c_out)
+        return gx, np.swapaxes(gw.reshape(c_in, kernel, c_out), 0, 1)
 
     return _node(_overlap_add(x.data @ wt, x.shape[-2] * stride, kernel, stride), (x, w), vjp)
 
@@ -541,10 +591,11 @@ def linear_recurrence(decay: Tensor, drive: Tensor, initial=None) -> Tensor:
     first = zero_row if initial is None else np.asarray(initial, dtype=np.float64)[None]
     if first.shape != zero_row.shape:
         raise ShapeError(f"initial state must be {decay.shape[1:]}, got {first.shape[1:]}")
-    h = _recurrence_loop(decay.data, drive.data, first[0])
+    decay_data = decay.data
+    h = _recurrence_loop(decay_data, drive.data, first[0])
 
     def vjp(g):
-        decay_next = np.concatenate([decay.data[1:], zero_row])
+        decay_next = np.concatenate([decay_data[1:], zero_row])
         lam = _recurrence_loop(decay_next[::-1], g[::-1], zero_row[0])[::-1]
         return lam * np.concatenate([first, h[:-1]]), lam
 

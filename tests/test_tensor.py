@@ -383,8 +383,8 @@ def test_tape_freed_after_backward():
     loss = y.sum()
     backward(loss)
     grad_after_first = x.grad.copy()
-    assert loss._parents == () and loss._vjp is None
-    assert y._parents == () and y._vjp is None
+    assert loss._grad_fn.parents == () and loss._grad_fn.vjp is None
+    assert y._grad_fn.parents == () and y._grad_fn.vjp is None
     # a second sweep over the freed graph must not touch leaf gradients
     backward(loss)
     np.testing.assert_array_equal(x.grad, grad_after_first)
@@ -420,7 +420,75 @@ def test_no_grad_suppresses_tape():
     with T.no_grad():
         y = x * 2.0
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._grad_fn is None
+
+
+def _saved_arrays(t):
+    """The arrays that ``t``'s VJP closure keeps."""
+    cells = t._grad_fn.vjp.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+def test_graph_keeps_only_the_arrays_its_vjps_read():
+    # no VJP reads the matmul output under a bias add, so it is freed once
+    # the forward drops it; relu keeps its mask, not its input or output
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    xw = x @ w
+    y = xw + b
+    product = weakref.ref(xw.data)
+    del xw
+    assert product() is None
+    r = T.relu(y)
+    mask = y.data > 0
+    outputs = [weakref.ref(y.data), weakref.ref(r.data)]
+    saved = _saved_arrays(r)
+    loss = r.sum()
+    del y, r
+    assert [ref() for ref in outputs] == [None, None]
+    assert len(saved) == 1 and saved[0].dtype == bool
+    np.testing.assert_array_equal(saved[0], mask)
+    backward(loss)
+    g = np.ones((5, 3)) * mask
+    np.testing.assert_array_equal(x.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, x.data.T @ g)
+    np.testing.assert_array_equal(b.grad, g.sum(axis=0))
+
+
+def test_mul_by_a_constant_keeps_only_the_constant():
+    # a dropout-style x * Tensor(mask) keeps the mask, not x, and its VJP
+    # gives no gradient for the constant
+    rng = np.random.default_rng(8)
+    h = Tensor(rng.standard_normal((3, 4)), requires_grad=True) + 1.0
+    const = rng.standard_normal((3, 4))
+    y = h * Tensor(const)
+    h_data = weakref.ref(h.data)
+    del h
+    assert h_data() is None
+    saved = _saved_arrays(y)
+    assert len(saved) == 1 and saved[0] is const
+    g = rng.standard_normal((3, 4))
+    gh, gc = y._grad_fn.vjp(g)
+    assert gc is None
+    np.testing.assert_array_equal(gh, g * const)
+
+
+def test_item_of_a_one_element_vector():
+    # backward accepts a size-1 loss of any shape, and so does item
+    assert Tensor(np.array([2.5])).item() == 2.5
+    assert Tensor(np.array([[-1.0]])).item() == -1.0
+    assert Tensor(3.0).item() == 3.0
+
+
+@pytest.mark.parametrize("axis, keepdims", [((0, 1), False), ((0, 2), True), ((-1, 0), False), (1, False)])
+def test_mean_over_several_axes(axis, keepdims):
+    rng = np.random.default_rng(9)
+    a = rand(rng, 3, 4, 5)
+    got = Tensor(a).mean(axis=axis, keepdims=keepdims)
+    np.testing.assert_allclose(got.data, a.mean(axis=axis, keepdims=keepdims), rtol=1e-14, atol=1e-15)
+    check_gradients(lambda xs: T.reduce_mean(xs[0], axis=axis, keepdims=keepdims), [a])
 
 
 def test_float64_enforced():
