@@ -30,7 +30,10 @@ decoded frames of those two models after a save and a load, which cover
 the load path, and the config_hash of a pipeline config read from a file
 that sets JSON integers in number fields and a level list, and of each
 stage config built from it, which catch a reader that changes a value's
-type. The parameter gradients catch a reordered sum
+type, and the frames ``read_motion_file`` and ``read_music_file`` return
+for a synthetic 240-frame pair and for a clip of full-precision edge values
+(``parsed_text_files``), which catch a parser that reads any field
+differently. The parameter gradients catch a reordered sum
 that the trained loss logs can round away. Run each dump with one BLAS thread (OPENBLAS_NUM_THREADS=1), as the benchmark
 does. ``compare`` exits 1 if any entry differs in a single bit.
 """
@@ -120,6 +123,7 @@ def dump(src: str, out: str) -> None:
     res["generator_checkpoint_sha256"] = checkpoint_sha256(dg.save_generator, generator)
     res["loaded_pipeline"] = loaded_pipeline(dg, generator, model, tracks[0])
     res["config_hashes"] = config_hashes(dg)
+    res["parsed_text_files"] = parsed_text_files(dg)
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
@@ -223,6 +227,32 @@ def config_hashes(dg) -> np.ndarray:
               cfg.gadg_config(), cfg.generator_train_config())
     return np.array([config_hash(cfg.to_dict())]
                     + [config_hash(dataclasses.asdict(stage)) for stage in stages])
+
+
+def parsed_text_files(dg) -> np.ndarray:
+    """The frames read back from the motion and music files written for the
+    synthetic pair of seed 300 and for a 3-frame clip whose fields cycle
+    through -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.1, 1/3,
+    1.7976931348623157e308 and their negatives (the music's peak, beat and
+    envelope columns held to 0, 1 and 1/3), flattened into one vector."""
+    from dancegen.music import ENVELOPE_COL
+
+    music, clip = dg.synthesize_pair(dg.SyntheticPairConfig(seed=300, clip_frames=240), 1)
+    edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.1, 1 / 3, 1.7976931348623157e308]
+    edges += [-v for v in edges]
+    edge_music = np.resize(edges, (3, music.frames.shape[1]))
+    edge_music[:, ENVELOPE_COL - 2:] = [0.0, 1.0, 1 / 3]
+    clips = [(music, clip),
+             (dg.MusicFeatureSequence(edge_music, 2),
+              dg.MotionSequence(np.resize(edges, (3, clip.frames.shape[1]))))]
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for music, clip in clips:
+            dg.write_music_file(Path(tmp) / "clip.music.txt", music)
+            dg.write_motion_file(Path(tmp) / "clip.motion.txt", clip)
+            parts += [dg.read_music_file(Path(tmp) / "clip.music.txt").frames.ravel(),
+                      dg.read_motion_file(Path(tmp) / "clip.motion.txt").frames.ravel()]
+    return np.concatenate(parts)
 
 
 def compare(a: str, b: str) -> int:

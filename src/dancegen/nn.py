@@ -203,7 +203,9 @@ def fit(model: Module, train_cfg, betas: tuple, count: int, batch_loss, rng, sta
     alive at a time. A non-finite loss or gradient raises a
     DegenerateInputError naming ``stage`` and the step (from 0, as in the
     loss log) before the update; its ``losses`` are the log of the steps
-    before it."""
+    before it. A part loss that tracks no gradient, as one built inside a
+    caller's ``no_grad`` does, raises a ContractError naming ``stage`` and
+    the step before it is backpropagated."""
     named = list(model.named_parameters())
     optim = Adam((p for _, p in named), train_cfg.lr, betas)
     batch = min(train_cfg.batch_size, count)
@@ -216,6 +218,9 @@ def fit(model: Module, train_cfg, betas: tuple, count: int, batch_loss, rng, sta
         value = 0.0
         for part in parts:
             loss = part()
+            if not loss.requires_grad:
+                raise ContractError(f"{stage} training step {step}: the loss tracks no gradient "
+                                    "(is it built under no_grad?)")
             (loss * scale).backward()
             value += loss.item()
         value *= scale

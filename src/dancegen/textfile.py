@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -96,22 +97,39 @@ def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):
     return [values[key] for key in ints], lines[body_start:], body_start
 
 
+def _loadtxt(rows) -> np.ndarray:
+    """The one float converter of the motion and music bodies: numpy's C
+    reader, fields split on whitespace, ``#`` an ordinary (bad) character."""
+    return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+
+
 def parse_float_rows(path, rows, body_start: int, width: int, count: int) -> np.ndarray:
-    """Exactly ``count`` rows of ``width`` floats as a [count, width] array."""
-    data = np.empty((count, width))
+    """Exactly ``count`` rows of ``width`` floats as a [count, width] array,
+    parsed in one ``np.loadtxt`` call. If that fails, or skips a blank line,
+    a diagnostic pass converts the rows one at a time the same way and names
+    the first bad line. A blank first row goes straight to that pass, so
+    ``np.loadtxt``, which warns on an input with no data, never sees one."""
     if len(rows) != count:
         raise FormatError(f"{path}: header promises {count} rows, file has {len(rows)}")
+    if count == 0:
+        return np.empty((0, width))
+    if rows[0].strip():
+        with contextlib.suppress(ValueError):
+            data = _loadtxt(rows)
+            if data.shape == (count, width):
+                return data
     for i, row in enumerate(rows):
-        fields = row.split()
-        if len(fields) != width:
-            raise FormatError(
-                f"{path}: line {body_start + i + 1}: expected {width} fields, got {len(fields)}"
-            )
+        where = f"{path}: line {body_start + i + 1}"
+        got = len(row.split())
+        if got != width:
+            raise FormatError(f"{where}: expected {width} fields, got {got}")
         try:
-            data[i] = [float(f) for f in fields]
+            _loadtxt([row])
         except ValueError as e:
-            raise FormatError(f"{path}: line {body_start + i + 1}: {e}") from None
-    return data
+            # numpy counts the row within the one line it was given
+            message = re.sub(r" at row 0, column (\d+)\.$", r" (field \1)", str(e))
+            raise FormatError(f"{where}: {message}") from None
+    raise FormatError(f"{path}: body does not read as {count} rows of {width} floats")
 
 
 def keyed_rows(path, rows, body_start: int):

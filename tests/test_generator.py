@@ -578,6 +578,19 @@ def test_train_generator_reduces_loss():
     assert np.mean(losses[-5:]) < 0.5 * np.mean(losses[:5])
 
 
+def test_train_generator_under_no_grad_refuses_before_any_update(monkeypatch):
+    # under a caller's no_grad no loss tracks a gradient, so every Adam
+    # step would skip every parameter and return a fresh init as trained
+    cfg = tiny_cfg()
+    music, codes = random_sequence(cfg, 8, seed=9)
+    updates = []
+    monkeypatch.setattr("dancegen.nn.Adam.step", lambda self: updates.append(1))
+    message = "generator training step 0: the loss tracks no gradient"
+    with T.no_grad(), pytest.raises(ContractError, match=message):
+        train_generator([(music, 2, codes)], cfg, GeneratorTrainConfig(steps=3, batch_size=1, seed=0))
+    assert updates == []
+
+
 def batch_sum_oracle(dataset, cfg, train_cfg):
     """The loss and parameter gradients of step 0 as one graph: every
     sequence's tape alive at once, summed, then one backward."""
