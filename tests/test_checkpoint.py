@@ -1,8 +1,10 @@
-"""Loading a checkpoint builds its model without random init: no draw
-runs, each parameter is allocated once, by the read, and every loaded
-parameter is a writeable array equal to the saved one. A checkpoint that
-lacks a parameter is refused by name, and a loaded generator's dropout
-streams are those of a fresh generator with the load's seed."""
+"""Saving a checkpoint writes the bytes of ``np.savez`` on the same members,
+from each parameter's own buffer, with no staging copy. Loading one builds
+its model without random init: no draw runs, each parameter is allocated
+once, by the read, and every loaded parameter is a writeable array equal
+to the saved one. A checkpoint that lacks a parameter is refused by name,
+and a loaded generator's dropout streams are those of a fresh generator
+with the load's seed."""
 
 import tracemalloc
 
@@ -119,6 +121,20 @@ def test_placeholder_init_allocates_nothing_and_refuses_updates():
     assert drawn.any()
 
 
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak, above what was held before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("stage, bound", [("generator", 1.1), ("codec", 1.25)])
 def test_desk_load_peak_memory_is_about_one_copy_of_the_parameters(tmp_path, stage, bound):
     # a random init that the load overwrites would hold a second copy
@@ -127,14 +143,49 @@ def test_desk_load_peak_memory_is_about_one_copy_of_the_parameters(tmp_path, sta
     save(tmp_path / "model.ckpt", model)
     param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
     del model
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        load(tmp_path / "model.ckpt")
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    peak = traced_peak(lambda: load(tmp_path / "model.ckpt"))
     assert peak <= bound * param_bytes, f"{stage} load peak {peak / param_bytes:.2f}x its parameters"
+
+
+def generator_with_noncontiguous_parameters():
+    """A tiny generator whose parameters include a Fortran-ordered matrix, a
+    strided view of a matrix and of a vector, and a zero-stride placeholder."""
+    model = GadgModel(GadgConfig(**TINY_GADG), seed=3)
+    matrices = [p for _, p in model.named_parameters() if p.data.ndim == 2]
+    vector = next(p for _, p in model.named_parameters() if p.data.ndim == 1)
+    matrices[0].data = np.asfortranarray(matrices[0].data)
+    matrices[1].data = np.repeat(matrices[1].data, 2, axis=1)[:, ::2]
+    matrices[2].data = np.broadcast_to(0.25, matrices[2].data.shape)
+    vector.data = np.repeat(vector.data, 3)[1::3]
+    return model
+
+
+SAVED_MODELS = {
+    "desk codec": (lambda: CodecModel(FsqConfig(), seed=0), save_codec, load_codec),
+    "tiny generator": (lambda: GadgModel(GadgConfig(**TINY_GADG), seed=3),
+                       save_generator, load_generator),
+    "noncontiguous generator": (generator_with_noncontiguous_parameters,
+                                save_generator, load_generator),
+}
+
+
+@pytest.mark.parametrize("which", sorted(SAVED_MODELS))
+def test_save_writes_the_bytes_of_np_savez(tmp_path, which):
+    build, save, load = SAVED_MODELS[which]
+    model = build()
+    save(tmp_path / "model.ckpt", model)
+    header, _ = read_v2(tmp_path / "model.ckpt")
+    arrays = {name: p.data for name, p in model.named_parameters()}
+    write_v2(tmp_path / "savez.ckpt", header, arrays)
+    assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "savez.ckpt").read_bytes()
+    for name, p in load(tmp_path / "model.ckpt").named_parameters():
+        assert np.array_equal(p.data, arrays[name]), name
+
+
+def test_save_stages_no_copy_of_a_parameter(tmp_path):
+    # np.savez, given a zip member handle, copies each array into a bytes
+    # object before writing it, so its peak is at least the largest array
+    model = GadgModel(GadgConfig(), seed=0)
+    largest = max(p.data.nbytes for _, p in model.named_parameters())
+    peak = traced_peak(lambda: save_generator(tmp_path / "generator.ckpt", model))
+    assert peak < largest / 4, f"save peak {peak} B for a largest parameter of {largest} B"

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from checkpoint_files import read_v2, write_v1_checkpoint, write_v2
+from checkpoint_files import ZIP_EDITS, read_v2, write_v1_checkpoint, write_v2, write_zip_edit
 from dancegen import cli
 from dancegen import codec as C
 from dancegen import generator as G
@@ -464,6 +464,21 @@ def test_bad_parameter_values_name_the_parameter(env, tmp_path, capsys, edit):
     assert main(["decode", "--ckpt", str(bad), "--in", str(codes), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and f"parameter {name}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", sorted(ZIP_EDITS))
+def test_checkpoint_with_an_unreadable_zip_field_is_validation_error(env, tmp_path, capsys,
+                                                                     edit):
+    # zipfile raises NotImplementedError or OSError on these, not BadZipFile
+    bad = tmp_path / "bad.ckpt"
+    write_zip_edit(bad, env["codec"], edit)
+    codes = tmp_path / "zero.codes.txt"
+    write_codes_file(codes, LatentCodeSequence(np.zeros(4, dtype=np.int64),
+                                               np.zeros(4, dtype=np.int64), 4375))
+    out = tmp_path / "x.motion.txt"
+    assert main(["decode", "--ckpt", str(bad), "--in", str(codes), "--out", str(out)]) == 2
+    assert f"{bad}: malformed checkpoint" in capsys.readouterr().err
     assert not out.exists()
 
 

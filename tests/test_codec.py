@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dancegen import checkpoint
 from dancegen import codec as C
 from dancegen import motion as MO
 from dancegen import tensor as T
@@ -409,12 +410,17 @@ def test_failed_save_keeps_old_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "codec.ckpt"
     C.save_codec(path, CodecModel(small_cfg(), seed=1))
     old = path.read_bytes()
+    write_npy = checkpoint._write_npy
+    members = []
 
-    def dies_partway(fh, **members):
-        fh.write(b"PK\x03\x04 partial")
-        raise OSError("disk full")
+    def dies_in_second_member(out, array):
+        members.append(array)
+        if len(members) == 2:
+            out.write(b"\x93NUMPY partial")
+            raise OSError("disk full")
+        write_npy(out, array)
 
-    monkeypatch.setattr(np, "savez", dies_partway)
+    monkeypatch.setattr(checkpoint, "_write_npy", dies_in_second_member)
     with pytest.raises(OSError, match="disk full"):
         C.save_codec(path, CodecModel(small_cfg(), seed=2))
     assert path.read_bytes() == old
