@@ -18,7 +18,10 @@ forward kinematics, split/merge and the finite differences, with their
 input gradients, on a [8, 240, 147] batch. It also holds the five report
 floats (fid_k, fid_g, div_k, div_g, bas) of ``dancegen evaluate``, run
 through ``dancegen.cli.main`` on 8 generated against 8 reference synthetic
-240-frame clips with their music, and the output and five input gradients
+240-frame clips with their music, and the kinetic and geometric features
+of each of those 16 motions with ``rot6d_to_matrix`` of 1000 seeded 6D rows
+(``motion_features``) and the rows' input gradient
+(``motion_features_grad``), and the output and five input gradients
 of ``selective_scan`` on a case with some channels at a = -1e-13, where
 |dt * a| < 1e-6 takes the series branch, from a seeded state h, and the
 same six arrays at the desk shape [30, 256, 16] (``scan_desk``), which
@@ -117,6 +120,7 @@ def dump(src: str, out: str) -> None:
         res[name], res[name + "_grad"] = y.data, leaf.grad
     res["split_upper"], res["split_lower"] = M.split_body(x)
     res["evaluate_report"] = evaluate_report(dg)
+    res["motion_features"], res["motion_features_grad"] = motion_features(dg, M, T)
     res["scan_series"] = scan_series(T)
     res["scan_desk"] = scan_desk(T)
     res["codec_checkpoint_sha256"] = checkpoint_sha256(dg.save_codec, model)
@@ -127,6 +131,16 @@ def dump(src: str, out: str) -> None:
     np.savez(out, **{k: np.asarray(v) for k, v in res.items()})
 
 
+def evaluate_pairs(dg):
+    """(side, index, music, motion) of the 8 generated and 8 reference
+    synthetic 240-frame clip pairs that ``evaluate_report`` evaluates."""
+    for side, first_seed in (("gen", 100), ("ref", 200)):
+        for i in range(8):
+            music, clip = dg.synthesize_pair(
+                dg.SyntheticPairConfig(seed=first_seed + i, clip_frames=240), i % GENRES)
+            yield side, i, music, clip
+
+
 def evaluate_report(dg) -> np.ndarray:
     """fid_k, fid_g, div_k, div_g and bas of the evaluate command on 8 against
     8 synthetic clip pairs."""
@@ -135,13 +149,10 @@ def evaluate_report(dg) -> np.ndarray:
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for side, first_seed in (("gen", 100), ("ref", 200)):
-            (root / side).mkdir()
-            for i in range(8):
-                music, clip = dg.synthesize_pair(
-                    dg.SyntheticPairConfig(seed=first_seed + i, clip_frames=240), i % GENRES)
-                dg.write_music_file(root / side / f"clip_{i:04d}.music.txt", music)
-                dg.write_motion_file(root / side / f"clip_{i:04d}.motion.txt", clip)
+        for side, i, music, clip in evaluate_pairs(dg):
+            (root / side).mkdir(exist_ok=True)
+            dg.write_music_file(root / side / f"clip_{i:04d}.music.txt", music)
+            dg.write_motion_file(root / side / f"clip_{i:04d}.motion.txt", clip)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(["evaluate", "--generated-dir", str(root / "gen"),
                          "--reference-dir", str(root / "ref"),
@@ -150,6 +161,21 @@ def evaluate_report(dg) -> np.ndarray:
             raise RuntimeError(f"dancegen evaluate exited {code}")
         report = read_report_file(root / "report.txt")
     return np.array([report[k] for k in ("fid_k", "fid_g", "div_k", "div_g", "bas")])
+
+
+def motion_features(dg, M, T):
+    """(the kinetic then geometric features of each ``evaluate_pairs`` motion,
+    followed by ``rot6d_to_matrix`` of 1000 seeded 6D rows, flattened into
+    one vector; the rows' input gradient under a seeded probe)."""
+    from dancegen.metrics import extract_features
+
+    parts = [extract_features(clip, kind) for _, _, _, clip in evaluate_pairs(dg)
+             for kind in ("kinetic", "geometric")]
+    rng = np.random.default_rng(13)
+    leaf = T.Tensor(rng.standard_normal((1000, 6)), requires_grad=True)
+    mats = M.rot6d_to_matrix(leaf)
+    (mats * T.Tensor(rng.standard_normal(mats.shape))).sum().backward()
+    return np.concatenate(parts + [mats.data.ravel()]), leaf.grad
 
 
 def scan_series(T) -> np.ndarray:

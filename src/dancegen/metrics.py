@@ -39,12 +39,22 @@ ANGLE_TRIPLES = (
 )
 
 
+# One gather builds every geometric vector: the 8 pair distances, then the
+# 8 angles' first arms (a - b), then their second arms (c - b).
+_ARM_HEADS = np.array([a for a, _ in DISTANCE_PAIRS] + [a for a, _, _ in ANGLE_TRIPLES]
+                      + [c for _, _, c in ANGLE_TRIPLES])
+_ARM_TAILS = np.array([b for _, b in DISTANCE_PAIRS] + [b for _, b, _ in ANGLE_TRIPLES] * 2)
+
+
 def position_features(pos: np.ndarray, kind: str) -> np.ndarray:
     """Fixed-width feature vector summarizing FK joint positions [T, 24, 3].
 
     ``kind`` selects "kinetic" (72 wide) or "geometric" (32 wide). Kinetic
     needs four frames for the third derivative; geometric needs two for
-    the spread statistics.
+    the spread statistics. Each kind is a few array ops over all joints,
+    pairs and triples; norms and dot products sum their three terms left to
+    right and each track's mean and std come from one contiguous row, so
+    the features equal a per-track loop's bitwise.
     """
     if kind == "kinetic":
         if pos.shape[0] < 4:
@@ -53,23 +63,20 @@ def position_features(pos: np.ndarray, kind: str) -> np.ndarray:
         d = pos
         for _ in range(3):
             d = np.diff(d, axis=0)
-            out.append(np.linalg.norm(d, axis=-1).mean(axis=0))
+            out.append(MO.vector_norm(d).mean(axis=0))
         return np.concatenate(out)
     if kind == "geometric":
         if pos.shape[0] < 2:
             raise ShapeError(f"geometric features need >= 2 frames, got {pos.shape[0]}")
-        tracks = []
-        for a, b in DISTANCE_PAIRS:
-            tracks.append(np.linalg.norm(pos[:, a] - pos[:, b], axis=-1))
-        for a, b, c in ANGLE_TRIPLES:
-            u = pos[:, a] - pos[:, b]
-            v = pos[:, c] - pos[:, b]
-            nu = np.linalg.norm(u, axis=-1)
-            nv = np.linalg.norm(v, axis=-1)
-            cos = (u * v).sum(axis=-1) / np.maximum(nu * nv, 1e-12)
-            tracks.append(np.arccos(np.clip(cos, -1.0, 1.0)))
-        stats = [(t.mean(), t.std()) for t in tracks]
-        return np.array([s for pair in stats for s in pair])
+        n = len(DISTANCE_PAIRS)
+        arms = pos[:, _ARM_HEADS] - pos[:, _ARM_TAILS]  # [T, 24, 3]
+        lengths = MO.vector_norm(arms)
+        uv = arms[:, n:2 * n] * arms[:, 2 * n:]
+        cos = (uv[..., 0] + uv[..., 1] + uv[..., 2]) / np.maximum(
+            lengths[:, n:2 * n] * lengths[:, 2 * n:], 1e-12)
+        tracks = np.concatenate([lengths[:, :n], np.arccos(np.clip(cos, -1.0, 1.0))], axis=1)
+        tracks = np.ascontiguousarray(tracks.T)  # [16, T], one track per row
+        return np.stack([tracks.mean(axis=1), tracks.std(axis=1)], axis=1).reshape(-1)
     raise InputError(f"unknown feature kind {kind!r}; expected 'kinetic' or 'geometric'")
 
 

@@ -3,10 +3,12 @@
 A frame is [root translation (3); 24 joint rotations in 6D (144)], sampled
 at 30 fps. Rotations are parent-relative: each 6D block is the rotation of
 a joint in its parent's frame, and forward kinematics composes them down
-the tree (see ``forward_kinematics``). All rotation/FK math runs through
-the autodiff tensor ops so reconstruction losses can differentiate through
-joint positions; plain ndarray inputs take the same code path and return
-ndarrays.
+the tree (see ``forward_kinematics``). Rotation and FK math runs on plain
+arrays: ``rot6d_to_matrix`` and ``forward_kinematics`` are each one node on
+the autodiff tape with a hand-written VJP, so reconstruction losses can
+differentiate through joint positions, and a plain ndarray input returns an
+ndarray without building a tape. ``vector_norm`` is the one norm of 3-vectors
+shared by the Gram-Schmidt, the motion features and the kinematic beats.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from . import tensor as T
 from . import textfile as TF
 from .errors import ContractError, DegenerateInputError, FormatError, ShapeError
-from .tensor import Tensor
 
 FPS = 30
 JOINT_COUNT = 24
@@ -95,6 +96,84 @@ class MotionSequence:
         return self.frames.shape[0]
 
 
+def _dot(u, v):
+    """u . v of two 3-tuples of component arrays, summed left to right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    """u x v of two 3-tuples of component arrays."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _components(v: np.ndarray):
+    """The three components of a last axis of 3, as views."""
+    return v[..., 0], v[..., 1], v[..., 2]
+
+
+def vector_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over a last axis of 3, as the sqrt of the squares
+    summed left to right: bitwise ``np.linalg.norm(v, axis=-1)``, whose
+    sum over a last axis this short runs in that order, without its
+    small-axis reduction."""
+    v = _components(v)
+    return np.sqrt(_dot(v, v))
+
+
+def _gram_schmidt(r: np.ndarray):
+    """Rotation matrices [..., 3, 3] of 6D rotations r [..., 6], and the
+    first column's norm, the projection and the second column's norm that
+    ``_gram_schmidt_vjp`` reads.
+
+    The work runs per component, each dot product a 3-term sum written
+    left to right, the order of numpy's last-axis sum of 3, so the
+    matrices equal those of the same steps on [..., 3] arrays bitwise. A
+    degenerate input raises before anything divides by its norm.
+    """
+    a, b = _components(r[..., :3]), _components(r[..., 3:])
+    n1 = np.sqrt(_dot(a, a))
+    if (n1 <= _DEGENERACY_EPS).any():
+        raise DegenerateInputError("6D rotation with near-zero first column")
+    col1 = tuple(ai / n1 for ai in a)
+    proj = _dot(b, col1)
+    ortho = tuple(bi - proj * ci for bi, ci in zip(b, col1))
+    n2 = np.sqrt(_dot(ortho, ortho))
+    if (n2 <= _DEGENERACY_EPS).any():
+        raise DegenerateInputError("6D rotation with columns nearly parallel")
+    col2 = tuple(oi / n2 for oi in ortho)
+    mat = np.empty(r.shape[:-1] + (3, 3))
+    for k, col in enumerate((col1, col2, _cross(col1, col2))):
+        for i in range(3):
+            mat[..., i, k] = col[i]
+    return mat, (n1, proj, n2)
+
+
+def _gram_schmidt_vjp(r: np.ndarray, mat: np.ndarray, saved, g: np.ndarray, out: np.ndarray):
+    """Write into ``out`` [..., 6] the gradient of r from ``g`` [..., 3, 3],
+    the gradient of ``_gram_schmidt(r)``'s matrices: back through the cross
+    product, the second normalization, the projection and the first
+    normalization."""
+    n1, proj, n2 = saved
+    col1, col2 = _components(mat[..., 0]), _components(mat[..., 1])
+    g3 = _components(g[..., 2])
+    gcol1 = tuple(gi + ci for gi, ci in zip(_components(g[..., 0]), _cross(col2, g3)))
+    gcol2 = tuple(gi + ci for gi, ci in zip(_components(g[..., 1]), _cross(g3, col1)))
+    # col2 = ortho / n2
+    along = _dot(col2, gcol2)
+    gortho = tuple((gi - ci * along) / n2 for gi, ci in zip(gcol2, col2))
+    # ortho = b - proj * col1, proj = b . col1
+    gproj = -_dot(col1, gortho)
+    for i in range(3):
+        np.add(gortho[i], gproj * col1[i], out=out[..., 3 + i])
+    gcol1 = tuple(gi - proj * oi + gproj * r[..., 3 + i]
+                  for i, (gi, oi) in enumerate(zip(gcol1, gortho)))
+    # col1 = a / n1
+    along = _dot(col1, gcol1)
+    for i in range(3):
+        np.divide(gcol1[i] - col1[i] * along, n1, out=out[..., i])
+    return out
+
+
 def rot6d_to_matrix(r):
     """Gram-Schmidt a [..., 6] 6D rotation into [..., 3, 3].
 
@@ -102,37 +181,24 @@ def rot6d_to_matrix(r):
     normalized, the second orthogonalized against it, the third is their
     cross product. Near-degenerate inputs (tiny first column, second
     column nearly parallel to the first) raise instead of being repaired:
-    silent repair would hide upstream training bugs.
+    silent repair would hide upstream training bugs. A Tensor input gives
+    a taped Tensor, one node with a hand-written VJP.
     """
     r, plain = T.wrap(r)
     if r.shape[-1] != 6:
         raise ShapeError(f"6D rotations need a trailing axis of 6, got {r.shape}")
-
-    a, b = r[..., :3], r[..., 3:]
-
-    a_norm = np.sqrt((a.data ** 2).sum(axis=-1))
-    if (a_norm <= _DEGENERACY_EPS).any():
-        raise DegenerateInputError("6D rotation with near-zero first column")
-
-    col1 = a / T.sqrt((a * a).sum(axis=-1, keepdims=True))
-    proj = (b * col1).sum(axis=-1, keepdims=True)
-    ortho = b - proj * col1
-    ortho_norm = np.sqrt((ortho.data ** 2).sum(axis=-1))
-    if (ortho_norm <= _DEGENERACY_EPS).any():
-        raise DegenerateInputError("6D rotation with columns nearly parallel")
-    col2 = ortho / T.sqrt((ortho * ortho).sum(axis=-1, keepdims=True))
-    col3 = _cross(col1, col2)
-
-    last = col1.ndim
-    cols = [c.reshape(c.shape + (1,)) for c in (col1, col2, col3)]
-    mat = T.concat(cols, axis=last)
-    return mat.data if plain else mat
+    r6 = r.data
+    mat, saved = _gram_schmidt(r6)
+    if plain:
+        return mat
+    return T._node(mat, (r,), lambda g: (_gram_schmidt_vjp(r6, mat, saved, g, np.empty(r6.shape)),))
 
 
-def _cross(u: Tensor, v: Tensor) -> Tensor:
-    """u x v over the last axis, as u_yzx * v_zxy - u_zxy * v_yzx."""
-    yzx, zxy = [1, 2, 0], [2, 0, 1]
-    return u[..., yzx] * v[..., zxy] - u[..., zxy] * v[..., yzx]
+# Joints that are some joint's parent: only their global rotations are read.
+_HAS_CHILD = frozenset(PARENTS[1:].tolist())
+# Frames per block of the FK forward and VJP, so that a block's temporaries
+# stay small enough for the cache and the heap.
+_FK_BLOCK = 256
 
 
 def forward_kinematics(frames):
@@ -143,6 +209,15 @@ def forward_kinematics(frames):
     parent's global rotation and adds the parent-rotated bone offset.
     Positions are built root-relative and the translation is added once at
     the end, so shifting the translation shifts every joint exactly.
+
+    One tape node. The forward runs on arrays, ``_FK_BLOCK`` frames at a
+    time, with one matmul per joint and per bone offset, each on the values
+    and layouts the same chain of taped ops uses, so positions are bitwise
+    those of that chain. The node keeps each block's 6D rotations, rotation
+    matrices, Gram-Schmidt norms and the global rotations of joints with
+    children. Its VJP walks each block's chain in reverse joint order, then
+    runs the Gram-Schmidt backward, and returns the frames' gradient as one
+    array.
     """
     x, plain = T.wrap(frames)
     if x.shape[-1] != FRAME_WIDTH:
@@ -150,22 +225,72 @@ def forward_kinematics(frames):
     if x.ndim < 2:
         raise ShapeError("frames need at least a [T, width] shape")
 
-    trans = x[..., :3]
-    rots = x[..., 3:].reshape(x.shape[:-1] + (JOINT_COUNT, 6))
-    rmats = rot6d_to_matrix(rots)  # [..., T, 24, 3, 3]
+    flat = x.data.reshape(-1, FRAME_WIDTH)
+    positions = np.empty((flat.shape[0], JOINT_COUNT, 3))
+    blocks = [slice(i, i + _FK_BLOCK) for i in range(0, flat.shape[0], _FK_BLOCK)]
+    saved = [_fk_block(flat[b], positions[b]) for b in blocks]
+    positions = positions.reshape(x.shape[:-1] + (JOINT_COUNT, 3))
+    if plain:
+        return positions
 
-    globals_ = [rmats[..., 0, :, :]]
-    local = [Tensor(np.zeros(x.shape[:-1] + (3,)))]  # root-relative positions [..., T, 3]
+    def vjp(g):
+        g = g.reshape(-1, JOINT_COUNT, 3)
+        gx = np.empty((g.shape[0], FRAME_WIDTH))
+        for b, kept in zip(blocks, saved):
+            _fk_block_vjp(kept, g[b], gx[b])
+        return (gx.reshape(x.shape),)
+
+    return T._node(positions, (x,), vjp)
+
+
+def _fk_block(frames: np.ndarray, positions: np.ndarray):
+    """Fill ``positions`` [B, 24, 3] from ``frames`` [B, 147]; return what
+    the VJP reads: the 6D rotations, their matrices and Gram-Schmidt norms,
+    and the global rotations of the joints that have children."""
+    rots = np.ascontiguousarray(frames[:, 3:]).reshape(-1, JOINT_COUNT, 6)
+    rmats, norms = _gram_schmidt(rots)
+    globals_ = {0: rmats[:, 0]}
+    positions[:, 0] = 0.0  # root-relative until the translation is added
     for j in range(1, JOINT_COUNT):
         parent = PARENTS[j]
-        offset = Tensor(DEFAULT_OFFSETS[j].reshape(3, 1))
-        step = (globals_[parent] @ offset).reshape(x.shape[:-1] + (3,))
-        local.append(local[parent] + step)
-        globals_.append(globals_[parent] @ rmats[..., j, :, :])
+        step = (globals_[parent] @ DEFAULT_OFFSETS[j].reshape(3, 1)).reshape(-1, 3)
+        np.add(positions[:, parent], step, out=positions[:, j])
+        if j in _HAS_CHILD:
+            globals_[j] = globals_[parent] @ rmats[:, j]
+    positions += frames[:, None, :3]
+    return rots, rmats, norms, globals_
 
-    stacked = T.concat([p.reshape(p.shape[:-1] + (1, 3)) for p in local], axis=x.ndim - 1)
-    positions = stacked + trans.reshape(trans.shape[:-1] + (1, 3))
-    return positions.data if plain else positions
+
+def _fk_block_vjp(kept, g: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` [B, 147] the gradient of ``_fk_block``'s frames
+    from ``g`` [B, 24, 3], the gradient of its positions.
+
+    The walk carries each global rotation's gradient transposed, so that
+    every matmul takes its operands in their stored layout: with H = dG^T,
+    a child j of p adds off_j glocal_j^T + R_j H_j to H_p, and R_j's
+    gradient is (H_j G_p)^T.
+    """
+    rots, rmats, norms, globals_ = kept
+    glocal = np.moveaxis(g, 1, 0).copy()  # joint-major [24, B, 3]
+    out[:, :3] = glocal.sum(axis=0)
+    grot_t = np.zeros(rmats.shape)  # each joint's rotation gradient, transposed
+    gglobal_t = {}
+    for j in range(JOINT_COUNT - 1, 0, -1):
+        parent = PARENTS[j]
+        glocal[parent] += glocal[j]
+        contrib = DEFAULT_OFFSETS[j][:, None] * glocal[j][:, None, :]
+        h = gglobal_t.pop(j, None)
+        if h is not None:  # only a joint with children has a global to pass back
+            contrib += rmats[:, j] @ h
+            np.matmul(h, globals_[parent], out=grot_t[:, j])
+        if parent in gglobal_t:
+            gglobal_t[parent] += contrib
+        else:
+            gglobal_t[parent] = contrib
+    grot_t[:, 0] = gglobal_t.pop(0)
+    # splitting out's last axis gives a view, which the Gram-Schmidt VJP fills
+    _gram_schmidt_vjp(rots, rmats, norms, np.swapaxes(grot_t, -1, -2),
+                      out[:, 3:].reshape(-1, JOINT_COUNT, 6))
 
 
 def split_body(frames):

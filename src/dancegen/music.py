@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from . import textfile as TF
-from .motion import FPS, FRAME_WIDTH, JOINT_COLS, JOINT_COUNT, REST_FRAME, MotionSequence
+from .motion import FPS, FRAME_WIDTH, JOINT_COLS, JOINT_COUNT, REST_FRAME, MotionSequence, vector_norm
 
 MUSIC_WIDTH = 35
 MFCC_DIM = 20
@@ -220,7 +220,7 @@ def beat_extract(positions: np.ndarray) -> np.ndarray:
         raise ShapeError(f"positions must be [T, joints, 3], got {positions.shape}")
     if positions.shape[0] < 3:
         raise ShapeError(f"need at least 3 frames to find beats, got {positions.shape[0]}")
-    disp = np.linalg.norm(np.diff(positions, axis=0), axis=2).mean(axis=1)
+    disp = vector_norm(np.diff(positions, axis=0)).mean(axis=1)
     tol = 1e-9 * max(disp.max(), 1e-30)
     beats = []
     for i in range(1, disp.shape[0] - 1):

@@ -70,7 +70,7 @@ def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):
     integers, the body lines, the index of the first body line). The
     header ends at the first line without '#'."""
     lines = _read_text(path).splitlines()
-    header = {}
+    header = {}  # key -> (line number, value)
     body_start = len(lines)
     for i, line in enumerate(lines):
         if not line.startswith("#"):
@@ -79,18 +79,20 @@ def read_text_file(path, fmt: str, version: int, ints=(), fixed=None):
         parts = line[1:].split(maxsplit=1)
         if len(parts) != 2:
             raise FormatError(f"{path}: line {i + 1}: malformed header entry {line!r}")
-        header[parts[0]] = parts[1]
-    found = header.get("format", "<missing>")
+        header[parts[0]] = (i + 1, parts[1])
+    found = header.get("format", (0, "<missing>"))[1]
     expected = f"{fmt} v{version}"
     if found.split()[0] != fmt:
         raise FormatError(f"{path}: expected a {fmt!r} file, found {found!r}")
     if found != expected:
         raise FormatError(f"{path}: unsupported version {found!r}; this reader handles {expected!r}")
     fixed = fixed or {}
-    try:
-        values = {key: int(header[key]) for key in (*fixed, *ints)}
-    except (KeyError, ValueError) as e:
-        raise FormatError(f"{path}: bad or missing header field: {e}") from None
+    values = {}
+    for key in (*fixed, *ints):
+        if key not in header:
+            raise FormatError(f"{path}: missing header field {key!r}")
+        line_no, text = header[key]
+        values[key] = parse_value(path, line_no, int, text)
     for key, supported in fixed.items():
         if values[key] != supported:
             raise FormatError(f"{path}: {key} {values[key]} unsupported, expected {supported}")
@@ -145,8 +147,16 @@ def keyed_rows(path, rows, body_start: int):
             yield body_start + i + 1, parts[0], parts[1] if len(parts) > 1 else ""
 
 
+# An integer field: ASCII digits with an optional sign. Python's int() also
+# takes underscores ('1_0' is 10) and any Unicode digit (fullwidth '１' is 1).
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
 def parse_value(path, line_no: int, kind, text: str):
-    """``kind(text)``; a ValueError becomes a FormatError naming the line."""
+    """``kind(text)``; a ValueError becomes a FormatError naming the line,
+    and so does an int that is not ASCII digits with an optional sign."""
+    if kind is int and not _INTEGER.fullmatch(text):
+        raise FormatError(f"{path}: line {line_no}: invalid integer {text!r}")
     try:
         return kind(text)
     except ValueError as e:

@@ -105,6 +105,61 @@ def test_extract_features_is_position_features_of_fk(kind):
     assert extract_features(clip, kind).tobytes() == want.tobytes()
 
 
+def per_track_features(pos, kind):
+    """The feature oracle: ``position_features`` as it was computed one
+    track at a time, with ``np.linalg.norm`` and a last-axis dot product."""
+    if kind == "kinetic":
+        out = []
+        d = pos
+        for _ in range(3):
+            d = np.diff(d, axis=0)
+            out.append(np.linalg.norm(d, axis=-1).mean(axis=0))
+        return np.concatenate(out)
+    tracks = [np.linalg.norm(pos[:, a] - pos[:, b], axis=-1) for a, b in DISTANCE_PAIRS]
+    for a, b, c in ANGLE_TRIPLES:
+        u = pos[:, a] - pos[:, b]
+        v = pos[:, c] - pos[:, b]
+        nu = np.linalg.norm(u, axis=-1)
+        nv = np.linalg.norm(v, axis=-1)
+        cos = (u * v).sum(axis=-1) / np.maximum(nu * nv, 1e-12)
+        tracks.append(np.arccos(np.clip(cos, -1.0, 1.0)))
+    return np.array([s for t in tracks for s in (t.mean(), t.std())])
+
+
+def degenerate_limbs(t_len=30):
+    """Random positions with the right elbow on the right shoulder (a zero
+    arm, so nu * nv is 0) and the left knee between hip and ankle on their
+    line (cos -1, which rounds below -1 in some frames)."""
+    pos = np.random.default_rng(3).standard_normal((t_len, 24, 3))
+    pos[:, 19] = pos[:, 17]
+    pos[:, 4] = pos[:, 1] + 0.25 * (pos[:, 7] - pos[:, 1])
+    return pos
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "geometric"])
+def test_features_bitwise_equal_per_track_oracle(kind):
+    for seed, frames in ((1, 240), (2, 48), (3, 7), (4, 4)):
+        pos = MO.forward_kinematics(dance_clip(seed=seed, genre=seed % 4, frames=240)[:frames])
+        assert position_features(pos, kind).tobytes() == per_track_features(pos, kind).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["kinetic", "geometric"])
+def test_features_bitwise_on_coincident_and_collinear_joints(kind):
+    pos = degenerate_limbs()
+    u, v = pos[:, 17] - pos[:, 19], pos[:, 21] - pos[:, 19]
+    assert (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1) < 1e-12).all()
+    u, v = pos[:, 1] - pos[:, 4], pos[:, 7] - pos[:, 4]
+    cos = (u * v).sum(-1) / (np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1))
+    assert (cos < -1.0 + 1e-9).all() and (cos < -1.0).any()  # the clip is exercised
+    assert position_features(pos, kind).tobytes() == per_track_features(pos, kind).tobytes()
+
+
+def test_beat_extract_speed_is_the_linalg_norm():
+    pos = MO.forward_kinematics(dance_clip(seed=6, genre=3))
+    speed = np.linalg.norm(np.diff(pos, axis=0), axis=2)
+    assert MO.vector_norm(np.diff(pos, axis=0)).tobytes() == speed.tobytes()
+
+
 def test_geometric_rest_pose_has_zero_spread():
     feats = extract_features(rest_pose_frames(6), "geometric")
     assert np.all(feats[1::2] < 1e-12)  # std entries collapse on a held pose

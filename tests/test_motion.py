@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from dancegen.errors import (
 )
 from dancegen.tensor import Tensor, backward
 
+import fk_oracle as taped
 from gradcheck import check_gradients
 
 
@@ -201,6 +204,76 @@ def test_fk_gradients(seed):
     rng = np.random.default_rng(seed)
     frames = random_valid_frames(rng, 2)
     check_gradients(lambda xs: M.forward_kinematics(xs[0]), [frames])
+
+
+# ---------------------------------------------------------------------------
+# the one-node FK and rot6d against the taped-op oracle (tests/fk_oracle.py)
+
+
+def perturbed_rest(rng, shape):
+    """Frames [..., 147] near the rest pose, as the codec sees them."""
+    return np.tile(M.REST_FRAME, shape + (1,)) + 0.3 * rng.standard_normal(shape + (M.FRAME_WIDTH,))
+
+
+def input_grad(fn, x, probe):
+    leaf = Tensor(x, requires_grad=True)
+    backward((fn(leaf) * Tensor(probe)).sum())
+    return leaf.grad
+
+
+FK_SHAPES = [(1,), (240,), (8, 240)]  # the last spans several FK blocks and a partial one
+
+
+@pytest.mark.parametrize("lead", FK_SHAPES, ids=str)
+def test_fk_forward_bitwise_equals_taped_oracle(lead):
+    x = perturbed_rest(np.random.default_rng(len(lead) + lead[-1]), lead)
+    got = M.forward_kinematics(x)
+    assert got.tobytes() == taped.forward_kinematics(x).tobytes()
+    # the taped path gives the same positions as the plain one
+    assert M.forward_kinematics(Tensor(x, requires_grad=True)).data.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("lead", FK_SHAPES, ids=str)
+def test_fk_input_gradient_matches_taped_oracle(lead):
+    rng = np.random.default_rng(40 + lead[-1])
+    x = perturbed_rest(rng, lead)
+    probe = rng.standard_normal(lead + (M.JOINT_COUNT, 3))
+    got = input_grad(M.forward_kinematics, x, probe)
+    want = input_grad(taped.forward_kinematics, x, probe)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_rot6d_bitwise_and_gradient_match_taped_oracle():
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal((10_000, 6))
+    assert M.rot6d_to_matrix(r).tobytes() == taped.rot6d_to_matrix(r).tobytes()
+    probe = rng.standard_normal((10_000, 3, 3))
+    got = input_grad(M.rot6d_to_matrix, r, probe)
+    want = input_grad(taped.rot6d_to_matrix, r, probe)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_fk_gradients_at_a_small_batch():
+    frames = random_valid_frames(np.random.default_rng(17), 6).reshape(2, 3, M.FRAME_WIDTH)
+    check_gradients(lambda xs: M.forward_kinematics(xs[0]), [frames])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, 0.0, 0.0, 0.0, 1.0, 0.0], "near-zero first column"),
+    ([1.0, 0.0, 0.0, 2.0, 0.0, 0.0], "nearly parallel"),
+], ids=["zero_first_column", "parallel_columns"])
+def test_degenerate_rotation_raises_before_numpy_warns(bad, message):
+    frames = identity_frames(3)
+    frames[1, 3 + 6 * 5: 9 + 6 * 5] = bad
+    for fn in (M.forward_kinematics, lambda x: M.rot6d_to_matrix(x[..., 3:].reshape(3, 24, 6))):
+        for arg in (frames, Tensor(frames, requires_grad=True)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError, match=message) as raised:
+                    fn(arg)
+            with pytest.raises(DegenerateInputError) as oracle:
+                taped.forward_kinematics(frames)
+            assert str(raised.value) == str(oracle.value)
 
 
 def test_fk_width_error():

@@ -243,3 +243,52 @@ def test_failed_write_keeps_old_file(tmp_path):
     write_loss_log(path, [2.0])
     assert path.read_text() == "#format dancegen-losses v1\n0 2.0\n"
     assert path.stat().st_mode == mode
+
+
+LOOSE_INTEGERS = {"underscore": "1_0", "fullwidth_digit": "１", "fullwidth_number": "２４０"}
+
+
+@pytest.mark.parametrize("token", list(LOOSE_INTEGERS.values()), ids=list(LOOSE_INTEGERS))
+def test_code_token_must_be_ascii_digits(tmp_path, token):
+    # int() reads '1_0' as 10 and a fullwidth digit as its value
+    path = tmp_path / "a.codes.txt"
+    write_codes_file(path, LatentCodeSequence([3, 0, 9], [1, 2, 4], 100))
+    path.write_text(path.read_text().replace("lower 1 2", f"lower 1 {token}"))
+    with pytest.raises(FormatError, match=f"line 5: invalid integer '{token}'"):
+        read_codes_file(path)
+
+
+@pytest.mark.parametrize("token", ["2_40", "２４０", "240.0", "0x10"],
+                         ids=["underscore", "fullwidth", "float", "hex"])
+@pytest.mark.parametrize("write", [write_motion, write_music], ids=["motion", "music"])
+def test_header_integer_must_be_ascii_digits(tmp_path, write, token):
+    path = tmp_path / "clip.txt"
+    read, frames = write(path)
+    text = path.read_text()
+    count = f"#frame_count {frames.shape[0]}\n"
+    line = text[:text.index(count)].count("\n") + 1
+    path.write_text(text.replace(count, f"#frame_count {token}\n"))
+    with pytest.raises(FormatError, match=f"line {line}: invalid integer '{token}'"):
+        read(path)
+
+
+def test_report_count_must_be_ascii_digits(tmp_path):
+    path = tmp_path / "report.txt"
+    write_report_file(path, dict(REPORT, n_sequences="1_6"))
+    with pytest.raises(FormatError, match="line 7: invalid integer '1_6'"):
+        read_report_file(path)
+
+
+def test_signed_and_space_padded_integers_still_read(tmp_path):
+    path = tmp_path / "a.codes.txt"
+    path.write_text("#format dancegen-codes v1\n#latent_len 2 \n#codebook_size +10\n"
+                    "upper +3 0\nlower 1 2\n")
+    back = read_codes_file(path)
+    assert back.upper.tolist() == [3, 0] and back.codebook_size == 10
+
+
+def test_missing_header_integer_is_named(tmp_path):
+    path = tmp_path / "a.codes.txt"
+    path.write_text("#format dancegen-codes v1\n#latent_len 2\nupper 3 0\nlower 1 2\n")
+    with pytest.raises(FormatError, match="missing header field 'codebook_size'"):
+        read_codes_file(path)
